@@ -2,8 +2,8 @@
 //! read batch.
 
 use casa_baselines::{BwaMem2Model, ErtAccelerator, ErtConfig, GenaxAccelerator, GenaxConfig};
-use casa_core::CasaAccelerator;
-use casa_experiments::scenario::{Genome, Scale, Scenario, READ_LEN};
+use casa_core::SeedingSession;
+use casa_experiments::scenario::{session_workers, Genome, Scale, Scenario, READ_LEN};
 use casa_experiments::systems::genax_k;
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -13,8 +13,12 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig12_seeding");
     group.sample_size(10);
 
-    let casa =
-        CasaAccelerator::new(&scenario.reference, scenario.casa_config()).expect("valid config");
+    let casa = SeedingSession::new(
+        &scenario.reference,
+        scenario.casa_config(),
+        session_workers(),
+    )
+    .expect("valid config");
     group.bench_function("casa", |b| b.iter(|| casa.seed_reads(reads)));
 
     let ert = ErtAccelerator::new(&scenario.reference, ErtConfig::default());

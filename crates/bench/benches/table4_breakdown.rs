@@ -1,14 +1,18 @@
 //! Table 4 bench: area/power breakdown derivation.
 
 use casa_core::energy_model::{dynamic_ledger, CasaHardwareModel};
-use casa_core::{CasaAccelerator, CasaConfig};
-use casa_experiments::scenario::{Genome, Scale, Scenario};
+use casa_core::{CasaConfig, SeedingSession};
+use casa_experiments::scenario::{session_workers, Genome, Scale, Scenario};
 use criterion::{criterion_group, criterion_main, Criterion};
 
 fn bench(c: &mut Criterion) {
     let scenario = Scenario::build(Genome::HumanLike, Scale::Small);
-    let casa = CasaAccelerator::new(&scenario.reference, CasaConfig::paper(50_000, 101))
-        .expect("valid config");
+    let casa = SeedingSession::new(
+        &scenario.reference,
+        CasaConfig::paper(50_000, 101),
+        session_workers(),
+    )
+    .expect("valid config");
     let run = casa.seed_reads(&scenario.reads[..60]);
     let hw = CasaHardwareModel::default();
     let mut group = c.benchmark_group("table4");

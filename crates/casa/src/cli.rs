@@ -21,6 +21,8 @@ use casa_genome::fastq::{FastqError, FastqRecord, FastqStream};
 use casa_genome::sam::{write_sam, write_sam_header, SamFormatter, SamRecord, FLAG_REVERSE};
 use casa_genome::{Base, PackedSeq};
 
+use crate::Seeder;
+
 /// Parsed command-line options.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Options {
@@ -410,65 +412,15 @@ fn resolve_plan(options: &Options) -> Option<FaultPlan> {
     }
 }
 
-/// Builds the seeding session from the CLI's fault and thread options,
-/// preserving the pre-streaming semantics: an explicit plan always wins,
-/// otherwise the environment plan is armed, and the worker count defaults
-/// to the available parallelism.
-fn build_session(
-    options: &Options,
-    reference: &PackedSeq,
-    config: CasaConfig,
-) -> Result<SeedingSession, CliError> {
-    let workers = options
-        .threads
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-    let session = match (options.backend, resolve_plan(options)) {
-        // An explicit --backend wins over CASA_BACKEND; the fault plan
-        // still defaults to the environment plan, as in the other arms.
-        (Some(kind), plan) => {
-            let plan = plan.unwrap_or_else(|| FaultPlan::from_env().unwrap_or_default());
-            SeedingSession::with_backend(reference, config, workers, plan, kind)?
-        }
-        (None, Some(plan)) => SeedingSession::with_fault_plan(reference, config, workers, plan)?,
-        (None, None) => SeedingSession::new(reference, config, workers)?,
-    };
-    if let Some(backend) = options.kernel {
-        session.set_kernel_backend(backend);
-    }
-    Ok(session)
-}
-
-/// Builds the session from a mapped index image: the embedded config is
-/// authoritative, the CAM backend borrows its tables from the mapping,
-/// and the backend / fault-plan / kernel knobs resolve exactly as in
-/// [`build_session`].
-fn build_session_from_image(
-    options: &Options,
-    index: &LoadedIndex,
-) -> Result<SeedingSession, CliError> {
-    let workers = options
-        .threads
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-    let backend = match options.backend {
-        Some(kind) => kind,
-        None => BackendKind::from_env()
-            .map_err(casa_core::ConfigError::from)?
-            .unwrap_or(BackendKind::Cam),
-    };
-    let plan = resolve_plan(options).unwrap_or_else(|| FaultPlan::from_env().unwrap_or_default());
-    let session = SeedingSession::from_image(index, workers, plan, backend)?;
-    if let Some(kernel) = options.kernel {
-        session.set_kernel_backend(kernel);
-    }
-    Ok(session)
-}
-
 /// Builds the seeding session either from the reference (index tables
 /// constructed in place) or zero-copy from a mapped `--index-image`,
 /// reporting which path ran and how long the index took to become ready
 /// to seed — the number the run summary and `CASA_LOG` surface as the
 /// build-vs-load line (satellite of the index-image work: the whole point
 /// of the image is collapsing this number).
+///
+/// Both paths go through [`Seeder`]'s builder: an explicit flag always
+/// wins, and every unset knob resolves to the builder's defaults.
 fn prepare_session(
     options: &Options,
     image: Option<&LoadedIndex>,
@@ -476,9 +428,27 @@ fn prepare_session(
     read_len: usize,
 ) -> Result<(SeedingSession, &'static str, u64), CliError> {
     let start = std::time::Instant::now();
+    let mut builder = match image {
+        Some(index) => Seeder::builder_from_image(index),
+        None => Seeder::builder(reference)
+            .partition_len(options.partition_len)
+            .read_len(read_len),
+    };
+    if let Some(threads) = options.threads {
+        builder = builder.workers(threads);
+    }
+    if let Some(kind) = options.backend {
+        builder = builder.backend(kind);
+    }
+    if let Some(plan) = resolve_plan(options) {
+        builder = builder.fault_plan(plan);
+    }
+    if let Some(kernel) = options.kernel {
+        builder = builder.kernel(kernel);
+    }
+    let session = builder.build()?.session().clone();
     match image {
         Some(index) => {
-            let session = build_session_from_image(options, index)?;
             // The mmap + verify happened in run_with_cancel; fold it in
             // so "load time" covers open-to-ready, not just wiring.
             let micros = (start.elapsed() + index.elapsed()).as_micros() as u64;
@@ -492,8 +462,6 @@ fn prepare_session(
             Ok((session, "mapped", micros))
         }
         None => {
-            let config = build_config(options, reference, read_len)?;
-            let session = build_session(options, reference, config)?;
             let micros = start.elapsed().as_micros() as u64;
             casa_core::log_info!(
                 "index built in {:.1} ms ({} partitions)",
@@ -503,22 +471,6 @@ fn prepare_session(
             Ok((session, "built", micros))
         }
     }
-}
-
-/// Derives the accelerator configuration from the reference and read
-/// lengths.
-fn build_config(
-    options: &Options,
-    reference: &PackedSeq,
-    read_len: usize,
-) -> Result<CasaConfig, CliError> {
-    let part_len = options
-        .partition_len
-        .min(reference.len().saturating_sub(1).max(1));
-    Ok(CasaConfig::builder()
-        .partition_len(part_len)
-        .read_len(read_len.max(2))
-        .build()?)
 }
 
 /// Renders one read's seeds as TSV lines onto `dump`.

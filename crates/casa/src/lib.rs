@@ -21,26 +21,28 @@
 //! # Quickstart
 //!
 //! ```
-//! use casa::core::{CasaAccelerator, CasaConfig};
+//! use casa::Seeder;
 //! use casa::genome::synth::{generate_reference, ReferenceProfile};
 //!
 //! let reference = generate_reference(&ReferenceProfile::human_like(), 10_000, 1);
-//! let casa = CasaAccelerator::new(&reference, CasaConfig::small(4_000))?;
+//! let seeder = Seeder::builder(&reference).partition_len(4_000).read_len(60).build()?;
 //! let read = reference.subseq(1_234, 60);
-//! let run = casa.seed_reads(std::slice::from_ref(&read));
+//! let run = seeder.seed_reads(std::slice::from_ref(&read));
 //! assert!(run.smems[0][0].hits.contains(&1_234));
 //! # Ok::<(), casa::core::Error>(())
 //! ```
 //!
-//! For embedding the seeder as a component — one stable API over the CAM,
-//! FM-index, and ERT backends — start from [`Seeder`] (the [`seeder`]
-//! module).
+//! There are two seeding surfaces. [`Seeder`] (the [`seeder`] module) is
+//! the embeddable component — one stable API over the CAM, FM-index, and
+//! ERT backends, built from a reference or a mapped index image.
+//! [`core::SeedingSession`] is the runtime underneath it, for callers that
+//! need the full surface (explicit config, fault sites, kernel control).
 //!
 //! See the `examples/` directory at the workspace root for runnable
 //! programs (`quickstart`, `resequencing_pipeline`,
 //! `accelerator_design_space`, `seeding_bakeoff`,
 //! `metagenomics_classification`, `variant_calling`), and the
-//! [`cli`] module / `casa-seed`, `casa-index` binaries for command-line
+//! [`cli`] module / `casa-seed`, `casa-serve` binaries for command-line
 //! use.
 
 #![forbid(unsafe_code)]

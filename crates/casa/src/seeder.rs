@@ -1,14 +1,18 @@
 //! The embeddable seeding API: [`Seeder`], a builder-configured facade
 //! over [`casa_core::SeedingSession`] and [`casa_core::StreamingSession`].
 //!
-//! The CLI (`casa-seed`) and the experiment harness both drive the session
-//! machinery directly; `Seeder` packages the same machinery for use as a
-//! library component — pick a reference, pick a backend, seed batches or
-//! streams — without learning the whole `casa-core` surface. Every knob
-//! not set explicitly keeps the session defaults (paper-scale config
-//! derived from the reference, one worker per CPU, CAM backend unless
-//! `CASA_BACKEND` says otherwise, fault-free unless `CASA_FAULT_SEED` is
-//! armed).
+//! `Seeder` packages the session machinery for use as a library
+//! component — pick a reference (or a mapped index image), pick a
+//! backend, seed batches or streams — without learning the whole
+//! `casa-core` surface.
+//!
+//! [`SeederBuilder::build`] is also the one place the crate resolves an
+//! unset knob to its default, for the library, `casa-seed` and
+//! `casa-serve` alike: paper-scale config derived from the reference (an
+//! image's embedded config is used verbatim), one worker per CPU, CAM
+//! backend unless `CASA_BACKEND` says otherwise, fault-free unless
+//! `CASA_FAULT_SEED` is armed, CAM word kernel from `CASA_KERNEL` or CPU
+//! detection.
 //!
 //! ```
 //! use casa::Seeder;
@@ -29,19 +33,22 @@
 use std::time::Duration;
 
 use casa_core::{
-    BackendKind, CasaConfig, CasaRun, Error, FaultPlan, SeedingSession, StrandedRun, StreamBatch,
-    StreamConfig, StreamError, StreamReport, StreamingSession,
+    BackendKind, CasaConfig, CasaRun, ConfigError, Error, FaultPlan, LoadedIndex, SeedingSession,
+    StrandedRun, StreamBatch, StreamConfig, StreamError, StreamReport, StreamingSession,
 };
 use casa_genome::PackedSeq;
 
-/// Configures and builds a [`Seeder`]. Created by [`Seeder::builder`].
+/// Configures and builds a [`Seeder`]. Created by [`Seeder::builder`] or
+/// [`Seeder::builder_from_image`].
 ///
-/// Geometry comes either from an explicit [`config`](Self::config) or from
-/// the [`partition_len`](Self::partition_len) /
-/// [`read_len`](Self::read_len) pair (paper design point, the default).
+/// From a reference, geometry comes either from an explicit
+/// [`config`](Self::config) or from the
+/// [`partition_len`](Self::partition_len) / [`read_len`](Self::read_len)
+/// pair (paper design point, the default). From an index image the
+/// embedded config wins and those three setters are ignored.
 #[derive(Clone, Debug)]
 pub struct SeederBuilder<'a> {
-    reference: &'a PackedSeq,
+    source: Source<'a>,
     config: Option<CasaConfig>,
     partition_len: usize,
     read_len: usize,
@@ -52,10 +59,19 @@ pub struct SeederBuilder<'a> {
     tile_deadline: Option<Duration>,
 }
 
+/// Where a [`SeederBuilder`] gets its partition engines from.
+#[derive(Clone, Debug)]
+enum Source<'a> {
+    /// Built in place from the reference.
+    Reference(&'a PackedSeq),
+    /// Borrowed from a mapped index image (see [`LoadedIndex`]).
+    Image(&'a LoadedIndex),
+}
+
 impl<'a> SeederBuilder<'a> {
-    fn new(reference: &'a PackedSeq) -> SeederBuilder<'a> {
+    fn new(source: Source<'a>) -> SeederBuilder<'a> {
         SeederBuilder {
-            reference,
+            source,
             config: None,
             partition_len: 1_000_000,
             read_len: 101,
@@ -68,21 +84,22 @@ impl<'a> SeederBuilder<'a> {
     }
 
     /// Uses `config` verbatim instead of deriving one from
-    /// `partition_len` / `read_len`.
+    /// `partition_len` / `read_len` (ignored on an image source).
     pub fn config(mut self, config: CasaConfig) -> Self {
         self.config = Some(config);
         self
     }
 
     /// Reference partition length in bases (ignored after
-    /// [`config`](Self::config); default 1,000,000).
+    /// [`config`](Self::config) and on an image source; default
+    /// 1,000,000).
     pub fn partition_len(mut self, bases: usize) -> Self {
         self.partition_len = bases;
         self
     }
 
     /// Read length the derived config is sized for (ignored after
-    /// [`config`](Self::config); default 101).
+    /// [`config`](Self::config) and on an image source; default 101).
     pub fn read_len(mut self, bases: usize) -> Self {
         self.read_len = bases;
         self
@@ -123,40 +140,46 @@ impl<'a> SeederBuilder<'a> {
         self
     }
 
-    /// Builds the seeder: validates the configuration, splits the
-    /// reference, and constructs one backend per partition.
+    /// Builds the seeder: resolves every unset knob to its default (see
+    /// the [module docs](self)), validates the configuration, splits the
+    /// reference, and constructs one backend per partition — in place
+    /// from a reference, or borrowed from the mapping for an image
+    /// source, bit-identically either way.
     ///
     /// # Errors
     ///
-    /// Any [`Error`] the underlying
-    /// [`SeedingSession`] constructors report: an inconsistent config, an
-    /// empty reference, zero workers, a bad fault plan, or an unknown
-    /// `CASA_BACKEND` / `CASA_KERNEL` value.
+    /// Any [`Error`] the underlying [`SeedingSession`] constructors
+    /// report: an inconsistent config, an empty reference, zero workers,
+    /// a bad fault plan, an image section the CAM backend cannot use, or
+    /// an unknown `CASA_BACKEND` / `CASA_KERNEL` value.
     pub fn build(self) -> Result<Seeder, Error> {
-        let config = match self.config {
-            Some(config) => config,
-            None => {
-                let part_len = self
-                    .partition_len
-                    .min(self.reference.len().saturating_sub(1).max(1));
-                CasaConfig::builder()
-                    .partition_len(part_len)
-                    .read_len(self.read_len.max(2))
-                    .build()?
-            }
-        };
         let workers = self
             .workers
             .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-        let session = match (self.backend, self.fault_plan) {
-            (Some(kind), plan) => {
-                let plan = plan.unwrap_or_else(|| FaultPlan::from_env().unwrap_or_default());
-                SeedingSession::with_backend(self.reference, config, workers, plan, kind)?
+        let backend = match self.backend {
+            Some(kind) => kind,
+            None => BackendKind::from_env()
+                .map_err(ConfigError::from)?
+                .unwrap_or(BackendKind::Cam),
+        };
+        let plan = self
+            .fault_plan
+            .unwrap_or_else(|| FaultPlan::from_env().unwrap_or_default());
+        let session = match self.source {
+            Source::Reference(reference) => {
+                let config = match self.config {
+                    Some(config) => config,
+                    None => CasaConfig::builder()
+                        .partition_len(
+                            self.partition_len
+                                .min(reference.len().saturating_sub(1).max(1)),
+                        )
+                        .read_len(self.read_len.max(2))
+                        .build()?,
+                };
+                SeedingSession::with_backend(reference, config, workers, plan, backend)?
             }
-            (None, Some(plan)) => {
-                SeedingSession::with_fault_plan(self.reference, config, workers, plan)?
-            }
-            (None, None) => SeedingSession::new(self.reference, config, workers)?,
+            Source::Image(index) => SeedingSession::from_image(index, workers, plan, backend)?,
         };
         if let Some(kernel) = self.kernel {
             session.set_kernel_backend(kernel);
@@ -169,8 +192,9 @@ impl<'a> SeederBuilder<'a> {
 /// A reference-bound seeding component: the stable embeddable API over
 /// the CAM / FM-index / ERT backends.
 ///
-/// Construction (via [`builder`](Seeder::builder)) is the expensive step;
-/// [`seed_reads`](Seeder::seed_reads) and
+/// Construction (via [`builder`](Seeder::builder) or
+/// [`builder_from_image`](Seeder::builder_from_image)) is the expensive
+/// step; [`seed_reads`](Seeder::seed_reads) and
 /// [`seed_stream`](Seeder::seed_stream) reuse the per-partition backends.
 /// Cloning is cheap and shares them.
 ///
@@ -206,52 +230,34 @@ pub struct Seeder {
 impl Seeder {
     /// Starts building a seeder for `reference`.
     pub fn builder(reference: &PackedSeq) -> SeederBuilder<'_> {
-        SeederBuilder::new(reference)
+        SeederBuilder::new(Source::Reference(reference))
     }
 
-    /// Builds a seeder from a loaded index image (see
-    /// [`casa_core::LoadedIndex`]): the embedded config is used verbatim
-    /// and the CAM backend's reference-side arrays are borrowed from the
-    /// mapping instead of rebuilt, so construction is O(partition
-    /// splitting), not O(index build). Backend and fault plan follow the
-    /// `CASA_BACKEND` / `CASA_FAULT_SEED` environment defaults.
+    /// Starts building a seeder over an index image the caller has
+    /// already opened (with [`LoadedIndex::open`] or the faster
+    /// [`LoadedIndex::open_fast`]). The image's embedded config is used
+    /// verbatim and the CAM backend's reference-side arrays are borrowed
+    /// from the mapping instead of rebuilt, so construction is
+    /// O(partition splitting), not O(index build). Every other knob
+    /// resolves exactly as for [`builder`](Self::builder).
     ///
-    /// # Errors
+    /// ```
+    /// use casa::Seeder;
+    /// use casa::core::{build_index_image, CasaConfig, LoadedIndex};
+    /// use casa::genome::synth::{generate_reference, ReferenceProfile};
     ///
-    /// As [`SeedingSession::from_image`], plus a typed config error for an
-    /// unrecognised `CASA_BACKEND` value.
-    pub fn from_image(index: &casa_core::LoadedIndex, workers: usize) -> Result<Seeder, Error> {
-        let backend = BackendKind::from_env()
-            .map_err(casa_core::ConfigError::from)?
-            .unwrap_or(BackendKind::Cam);
-        let plan = FaultPlan::from_env().unwrap_or_default();
-        Seeder::from_image_with(index, workers, plan, backend)
-    }
-
-    /// Like [`from_image`](Self::from_image) with the backend and fault
-    /// plan pinned explicitly.
-    ///
-    /// # Errors
-    ///
-    /// As [`SeedingSession::from_image`].
-    pub fn from_image_with(
-        index: &casa_core::LoadedIndex,
-        workers: usize,
-        plan: FaultPlan,
-        backend: BackendKind,
-    ) -> Result<Seeder, Error> {
-        Ok(Seeder {
-            session: SeedingSession::from_image(index, workers, plan, backend)?,
-        })
-    }
-
-    /// Applies a watchdog deadline per tile attempt (see
-    /// [`SeedingSession::with_tile_deadline`]); `None` disables it.
-    /// Mainly for the image path, where there is no builder to set it on.
-    #[must_use]
-    pub fn with_tile_deadline(mut self, deadline: Option<std::time::Duration>) -> Seeder {
-        self.session = self.session.with_tile_deadline(deadline);
-        self
+    /// let reference = generate_reference(&ReferenceProfile::human_like(), 4_000, 5);
+    /// let path = std::env::temp_dir().join(format!("casa_doc_{}.casaimg", std::process::id()));
+    /// build_index_image(&reference, CasaConfig::small(1_000), &path)?;
+    /// let index = LoadedIndex::open(&path)?;
+    /// let seeder = Seeder::builder_from_image(&index).workers(2).build()?;
+    /// let run = seeder.seed_reads(&[reference.subseq(2_500, 40)]);
+    /// assert!(run.smems[0][0].hits.contains(&2_500));
+    /// # std::fs::remove_file(&path).ok();
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
+    pub fn builder_from_image(index: &LoadedIndex) -> SeederBuilder<'_> {
+        SeederBuilder::new(Source::Image(index))
     }
 
     /// The backend this seeder drives.
@@ -372,37 +378,90 @@ mod tests {
         );
     }
 
+    /// Writes an index image of `reference` under `config` to a
+    /// process-unique temp path and maps it with full verification.
+    fn mapped_image(
+        reference: &PackedSeq,
+        config: CasaConfig,
+        tag: &str,
+    ) -> (std::path::PathBuf, LoadedIndex) {
+        let path =
+            std::env::temp_dir().join(format!("casa_seeder_{tag}_{}.casaimg", std::process::id()));
+        casa_core::build_index_image(reference, config, &path).unwrap();
+        let loaded = LoadedIndex::open(&path).unwrap();
+        (path, loaded)
+    }
+
     #[test]
     fn explicit_config_and_knobs_reach_the_session() {
         let reference = generate_reference(&ReferenceProfile::human_like(), 3_000, 5);
         let config = CasaConfig::small(1_000);
-        let seeder = Seeder::builder(&reference)
-            .config(config)
-            .workers(2)
-            .backend(BackendKind::Fm)
-            .fault_plan(FaultPlan::default())
-            .tile_deadline(Duration::from_millis(250))
-            .build()
-            .expect("valid build");
-        assert_eq!(seeder.backend(), BackendKind::Fm);
-        assert_eq!(seeder.config(), &config.validated().unwrap());
-        assert_eq!(seeder.partition_count(), 3);
-        assert_eq!(
-            seeder.session().tile_deadline(),
-            Some(Duration::from_millis(250))
-        );
+        let (path, index) = mapped_image(&reference, config, "knobs");
+        let plan = FaultPlan {
+            seed: 11,
+            max_retries: 5,
+            ..FaultPlan::default()
+        };
+        let sources = [
+            ("reference", Seeder::builder(&reference).config(config)),
+            // The embedded config wins over every geometry setter.
+            (
+                "image",
+                Seeder::builder_from_image(&index)
+                    .config(CasaConfig::small(700))
+                    .partition_len(500)
+                    .read_len(40),
+            ),
+        ];
+        for (source, builder) in sources {
+            let seeder = builder
+                .workers(3)
+                .backend(BackendKind::Fm)
+                .fault_plan(plan)
+                .tile_deadline(Duration::from_millis(250))
+                .build()
+                .expect("valid build");
+            assert_eq!(seeder.backend(), BackendKind::Fm, "{source}");
+            assert_eq!(seeder.config(), &config.validated().unwrap(), "{source}");
+            assert_eq!(seeder.partition_count(), 3, "{source}");
+            assert_eq!(seeder.session().workers(), 3, "{source}");
+            assert_eq!(seeder.session().fault_plan(), &plan, "{source}");
+            assert_eq!(
+                seeder.session().tile_deadline(),
+                Some(Duration::from_millis(250)),
+                "{source}"
+            );
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn seeder_from_image_matches_fresh_build() {
         let reference = generate_reference(&ReferenceProfile::human_like(), 4_000, 17);
         let config = CasaConfig::small(1_200);
-        let path =
-            std::env::temp_dir().join(format!("casa_seeder_image_{}.casaimg", std::process::id()));
-        casa_core::build_index_image(&reference, config, &path).unwrap();
-        let loaded = casa_core::LoadedIndex::open(&path).unwrap();
-        let mapped =
-            Seeder::from_image_with(&loaded, 2, FaultPlan::default(), BackendKind::Cam).unwrap();
+        let (path, loaded) = mapped_image(&reference, config, "image");
+        // Every knob set on the image source, with scheduler faults that
+        // must fire and be recovered bit-identically.
+        let plan = FaultPlan {
+            seed: 23,
+            tile_panic_rate: 0.3,
+            max_retries: 8,
+            ..FaultPlan::default()
+        };
+        let mapped = Seeder::builder_from_image(&loaded)
+            .workers(3)
+            .backend(BackendKind::Cam)
+            .fault_plan(plan)
+            .kernel(casa_core::KernelBackend::Scalar)
+            .tile_deadline(Duration::from_secs(30))
+            .build()
+            .unwrap();
+        let session = mapped.session();
+        assert_eq!(session.workers(), 3);
+        assert_eq!(session.backend(), BackendKind::Cam);
+        assert_eq!(session.fault_plan(), &plan);
+        assert_eq!(session.kernel_backend(), casa_core::KernelBackend::Scalar);
+        assert_eq!(session.tile_deadline(), Some(Duration::from_secs(30)));
         let fresh = Seeder::builder(&reference)
             .config(config)
             .workers(2)
@@ -411,10 +470,12 @@ mod tests {
             .build()
             .unwrap();
         let reads: Vec<PackedSeq> = (0..10).map(|i| reference.subseq(i * 300, 70)).collect();
-        assert_eq!(
-            mapped.seed_reads(&reads).smems,
-            fresh.seed_reads(&reads).smems
+        let run = mapped.seed_reads(&reads);
+        assert!(
+            run.stats.tile_retries > 0,
+            "the fault plan must reach the session"
         );
+        assert_eq!(run.smems, fresh.seed_reads(&reads).smems);
         assert_eq!(mapped.config(), fresh.config());
         std::fs::remove_file(&path).ok();
     }

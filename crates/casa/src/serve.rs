@@ -59,7 +59,7 @@ use casa_core::{wait_for_guard_threads, CancelToken, Error, LoadedIndex, Seeding
 use casa_genome::PackedSeq;
 use casa_index::Smem;
 
-use crate::Seeder;
+use crate::{Seeder, SeederBuilder};
 
 /// Server configuration: the socket, the pool sizes, the admission
 /// limits, and the deadlines.
@@ -1352,9 +1352,20 @@ impl ServeOptions {
             }
             (None, None) => return Err("need --reference <fasta> or --synth <len>".to_string()),
         };
-        let mut builder = Seeder::builder(&reference)
+        let builder = Seeder::builder(&reference)
             .partition_len(self.partition_len)
             .read_len(self.read_len);
+        self.seeding_knobs(builder)?
+            .build()
+            .map_err(|e| format!("cannot build seeder: {e}"))
+    }
+
+    /// Applies the seeding flags to `builder`; every flag left unset
+    /// keeps the builder's default.
+    fn seeding_knobs<'a>(
+        &self,
+        mut builder: SeederBuilder<'a>,
+    ) -> Result<SeederBuilder<'a>, String> {
         if let Some(threads) = self.threads {
             builder = builder.workers(threads);
         }
@@ -1366,9 +1377,7 @@ impl ServeOptions {
                 casa_core::FaultPlan::parse(spec).map_err(|e| format!("bad --fault-spec: {e}"))?;
             builder = builder.fault_plan(plan);
         }
-        builder
-            .build()
-            .map_err(|e| format!("cannot build seeder: {e}"))
+        Ok(builder)
     }
 
     /// Builds the warm [`Seeder`] plus its [`IndexProvenance`]: mapped
@@ -1390,21 +1399,10 @@ impl ServeOptions {
         // it swaps a new artifact into a live server.
         let index = casa_core::LoadedIndex::open_fast(path)
             .map_err(|e| format!("cannot map {}: {e}", path.display()))?;
-        let workers = self
-            .threads
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-        let plan = match &self.fault_spec {
-            Some(spec) => {
-                casa_core::FaultPlan::parse(spec).map_err(|e| format!("bad --fault-spec: {e}"))?
-            }
-            None => casa_core::FaultPlan::from_env().unwrap_or_default(),
-        };
-        let backend = casa_core::BackendKind::from_env()
-            .map_err(|e| format!("bad CASA_BACKEND: {e}"))?
-            .unwrap_or(casa_core::BackendKind::Cam);
-        let seeder = Seeder::from_image_with(&index, workers, plan, backend)
-            .map_err(|e| format!("cannot serve {}: {e}", path.display()))?
-            .with_tile_deadline(self.tile_deadline);
+        let seeder = self
+            .seeding_knobs(Seeder::builder_from_image(&index))?
+            .build()
+            .map_err(|e| format!("cannot serve {}: {e}", path.display()))?;
         let provenance = IndexProvenance::mapped(index.fingerprint(), path.clone());
         Ok((seeder, provenance))
     }

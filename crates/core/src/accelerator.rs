@@ -1,50 +1,19 @@
-//! The full CASA accelerator: partition streaming, result merging, and the
-//! timing model that turns activity counts into seconds.
+//! What one pass of the accelerator produces — per-read SMEMs merged
+//! across partitions plus activity counters — the serial partition-streaming
+//! oracle that defines it, and the timing model that turns activity counts
+//! into seconds. The production runtime is
+//! [`SeedingSession`](crate::SeedingSession).
 
 use casa_energy::circuits::CLOCK_HZ;
 use casa_energy::DramSystem;
-use casa_genome::{PackedSeq, Partition};
+use casa_genome::PackedSeq;
 use casa_index::smem::merge_partition_smems;
 use casa_index::Smem;
 
 use crate::engine::PartitionEngine;
 use crate::error::Error;
-use crate::session::SeedingSession;
 use crate::stats::SeedingStats;
 use crate::CasaConfig;
-
-/// The CASA accelerator bound to a reference genome.
-///
-/// The reference is split into overlapping partitions
-/// (`config.partitioning`); each partition is loaded into the on-chip
-/// memories in turn and the whole read batch streams through it, exactly
-/// like the hardware replays read batches against the 768 parts of GRCh38.
-///
-/// Since the API redesign this type is a thin wrapper over a
-/// [`SeedingSession`]: the per-partition engines are built once at
-/// construction and reused by every [`seed_reads`](Self::seed_reads) call,
-/// which also spreads the partition passes across worker threads. The
-/// original one-pass implementation survives as
-/// [`seed_reads_serial`](Self::seed_reads_serial), the executable
-/// specification the session is tested against.
-///
-/// ```
-/// use casa_core::{CasaAccelerator, CasaConfig};
-/// use casa_genome::synth::{generate_reference, ReferenceProfile};
-///
-/// let reference = generate_reference(&ReferenceProfile::human_like(), 4_000, 1);
-/// let casa = CasaAccelerator::new(&reference, CasaConfig::small(1_000))?;
-/// let read = reference.subseq(2_500, 40);
-/// let run = casa.seed_reads(std::slice::from_ref(&read));
-/// assert_eq!(run.smems[0].len(), 1);
-/// assert!(run.smems[0][0].hits.contains(&2_500));
-/// # Ok::<(), casa_core::Error>(())
-/// ```
-#[derive(Clone, Debug)]
-pub struct CasaAccelerator {
-    session: SeedingSession,
-    partitions: Vec<Partition>,
-}
 
 /// Result of seeding a read batch.
 #[derive(Clone, Debug)]
@@ -58,114 +27,58 @@ pub struct CasaRun {
     pub config: CasaConfig,
 }
 
-impl CasaAccelerator {
-    /// Splits `reference` into partitions per the configuration and builds
-    /// the per-partition engines, using one worker per available CPU.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Config`] for an inconsistent configuration or
-    /// [`Error::EmptyReference`] for an empty reference.
-    pub fn new(reference: &PackedSeq, config: CasaConfig) -> Result<CasaAccelerator, Error> {
-        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-        CasaAccelerator::with_workers(reference, config, workers)
+/// Seeds `reads` the original single-threaded way: split `reference`,
+/// then for each partition build a fresh [`PartitionEngine`] and stream
+/// the whole batch through it, exactly like the hardware replays read
+/// batches against the 768 parts of GRCh38.
+///
+/// This is the executable specification of
+/// [`SeedingSession::seed_reads`](crate::SeedingSession::seed_reads) —
+/// the oracle its determinism tests compare against and the
+/// rebuild-per-batch baseline its benches measure.
+///
+/// # Errors
+///
+/// [`Error::Config`] for an inconsistent configuration (or an unknown
+/// `CASA_KERNEL` value), [`Error::EmptyReference`] for an empty
+/// reference.
+pub fn seed_reads_serial(
+    reference: &PackedSeq,
+    config: CasaConfig,
+    reads: &[PackedSeq],
+) -> Result<CasaRun, Error> {
+    let config = config.validated()?;
+    let partitions = config.partitioning.split(reference);
+    if partitions.is_empty() {
+        return Err(Error::EmptyReference);
     }
-
-    /// Like [`new`](Self::new) with an explicit worker count.
-    ///
-    /// # Errors
-    ///
-    /// As [`new`](Self::new), plus [`Error::ZeroWorkers`] if
-    /// `workers == 0`.
-    pub fn with_workers(
-        reference: &PackedSeq,
-        config: CasaConfig,
-        workers: usize,
-    ) -> Result<CasaAccelerator, Error> {
-        Ok(CasaAccelerator {
-            session: SeedingSession::new(reference, config, workers)?,
-            partitions: config.partitioning.split(reference),
-        })
-    }
-
-    /// Like [`with_workers`](Self::with_workers) with an explicit
-    /// [`FaultPlan`](crate::FaultPlan): hardware faults are injected into
-    /// the freshly built engines and scheduler faults armed for every
-    /// batch. See [`SeedingSession::with_fault_plan`].
-    ///
-    /// # Errors
-    ///
-    /// As [`with_workers`](Self::with_workers), plus [`Error::Config`]
-    /// for a plan rate outside `[0, 1]`.
-    pub fn with_fault_plan(
-        reference: &PackedSeq,
-        config: CasaConfig,
-        workers: usize,
-        plan: crate::FaultPlan,
-    ) -> Result<CasaAccelerator, Error> {
-        Ok(CasaAccelerator {
-            session: SeedingSession::with_fault_plan(reference, config, workers, plan)?,
-            partitions: config.partitioning.split(reference),
-        })
-    }
-
-    /// The accelerator configuration.
-    pub fn config(&self) -> &CasaConfig {
-        self.session.config()
-    }
-
-    /// Number of reference partitions (passes per read batch).
-    pub fn partition_count(&self) -> usize {
-        self.partitions.len()
-    }
-
-    /// The session carrying the prebuilt partition engines.
-    pub fn session(&self) -> &SeedingSession {
-        &self.session
-    }
-
-    /// Seeds a read batch against every partition and merges the results,
-    /// reusing the prebuilt engines across worker threads. Bit-identical
-    /// to [`seed_reads_serial`](Self::seed_reads_serial).
-    pub fn seed_reads(&self, reads: &[PackedSeq]) -> CasaRun {
-        self.session.seed_reads(reads)
-    }
-
-    /// The original single-threaded implementation, which rebuilds every
-    /// partition engine on each call: the executable specification of
-    /// [`seed_reads`](Self::seed_reads) and the baseline its benches
-    /// compare against.
-    pub fn seed_reads_serial(&self, reads: &[PackedSeq]) -> CasaRun {
-        let config = *self.session.config();
-        let mut stats = SeedingStats::default();
-        let mut per_read_parts: Vec<Vec<Vec<Smem>>> = vec![Vec::new(); reads.len()];
-        for part in &self.partitions {
-            let mut engine =
-                PartitionEngine::new(&part.seq, config).expect("config validated at construction");
-            for (ri, read) in reads.iter().enumerate() {
-                let mut smems = engine.seed_read(read, &mut stats);
-                for smem in &mut smems {
-                    for hit in &mut smem.hits {
-                        *hit += part.start as u32;
-                    }
+    let mut stats = SeedingStats::default();
+    let mut per_read_parts: Vec<Vec<Vec<Smem>>> = vec![Vec::new(); reads.len()];
+    for part in &partitions {
+        let mut engine = PartitionEngine::new(&part.seq, config)?;
+        for (ri, read) in reads.iter().enumerate() {
+            let mut smems = engine.seed_read(read, &mut stats);
+            for smem in &mut smems {
+                for hit in &mut smem.hits {
+                    *hit += part.start as u32;
                 }
-                per_read_parts[ri].push(smems);
             }
-        }
-        // Read batch streams in once (2-bit packed + header).
-        for read in reads {
-            stats.dram_bytes += read.len().div_ceil(4) as u64 + 8;
-        }
-        let smems = per_read_parts
-            .into_iter()
-            .map(merge_partition_smems)
-            .collect();
-        CasaRun {
-            smems,
-            stats,
-            config,
+            per_read_parts[ri].push(smems);
         }
     }
+    // Read batch streams in once (2-bit packed + header).
+    for read in reads {
+        stats.dram_bytes += read.len().div_ceil(4) as u64 + 8;
+    }
+    let smems = per_read_parts
+        .into_iter()
+        .map(merge_partition_smems)
+        .collect();
+    Ok(CasaRun {
+        smems,
+        stats,
+        config,
+    })
 }
 
 /// Both-orientation seeding results (paper §4.1: reads are sent to the
@@ -247,6 +160,7 @@ impl CasaRun {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SeedingSession;
     use casa_genome::synth::{generate_reference, ReferenceProfile};
     use casa_genome::{ReadSimConfig, ReadSimulator};
     use casa_index::smem::smems_unidirectional;
@@ -259,7 +173,7 @@ mod tests {
         let reference = generate_reference(&ReferenceProfile::human_like(), 5_000, 42);
         let mut config = CasaConfig::small(800);
         config.partitioning = casa_genome::PartitionScheme::new(800, 60);
-        let casa = CasaAccelerator::new(&reference, config).expect("valid config");
+        let casa = SeedingSession::new(&reference, config, 2).expect("valid config");
         assert!(casa.partition_count() > 4);
         let sa = SuffixArray::build(&reference);
         let sim = ReadSimulator::new(
@@ -286,7 +200,7 @@ mod tests {
         let reference = generate_reference(&ReferenceProfile::uniform(), 2_000, 9);
         let mut config = CasaConfig::small(500);
         config.partitioning = casa_genome::PartitionScheme::new(500, 60);
-        let casa = CasaAccelerator::new(&reference, config).expect("valid config");
+        let casa = SeedingSession::new(&reference, config, 2).expect("valid config");
         // read centered on the cut at 500
         let read = reference.subseq(480, 40);
         let run = casa.seed_reads(std::slice::from_ref(&read));
@@ -299,12 +213,10 @@ mod tests {
     fn both_strands_finds_reverse_reads() {
         let reference = generate_reference(&ReferenceProfile::human_like(), 3_000, 21);
         let casa =
-            CasaAccelerator::new(&reference, CasaConfig::small(1_500)).expect("valid config");
+            SeedingSession::new(&reference, CasaConfig::small(1_500), 2).expect("valid config");
         let fwd_read = reference.subseq(200, 40);
         let rev_read = reference.subseq(900, 40).reverse_complement();
-        let run = casa
-            .session()
-            .seed_reads_both_strands(&[fwd_read, rev_read]);
+        let run = casa.seed_reads_both_strands(&[fwd_read, rev_read]);
         let best = run.best_per_read();
         assert!(!best[0].0, "forward read classified forward");
         assert!(best[1].0, "reverse read classified reverse");
@@ -316,7 +228,7 @@ mod tests {
     fn timing_model_is_positive_and_monotone() {
         let reference = generate_reference(&ReferenceProfile::human_like(), 3_000, 4);
         let config = CasaConfig::small(1_000);
-        let casa = CasaAccelerator::new(&reference, config).expect("valid config");
+        let casa = SeedingSession::new(&reference, config, 2).expect("valid config");
         let sim = ReadSimulator::new(
             ReadSimConfig {
                 read_len: 40,

@@ -162,7 +162,7 @@ pub fn power_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CasaAccelerator, CasaConfig};
+    use crate::{CasaConfig, SeedingSession};
     use casa_genome::synth::{generate_reference, ReferenceProfile};
     use casa_genome::{PackedSeq, ReadSimConfig, ReadSimulator};
 
@@ -189,7 +189,7 @@ mod tests {
     fn run_report_end_to_end() {
         let reference = generate_reference(&ReferenceProfile::human_like(), 3_000, 2);
         let casa =
-            CasaAccelerator::new(&reference, CasaConfig::small(1_500)).expect("valid config");
+            SeedingSession::new(&reference, CasaConfig::small(1_500), 2).expect("valid config");
         let sim = ReadSimulator::new(
             ReadSimConfig {
                 read_len: 40,

@@ -22,16 +22,16 @@
 //! # Example
 //!
 //! ```
-//! use casa_core::{CasaAccelerator, CasaConfig};
+//! use casa_core::{CasaConfig, SeedingSession};
 //! use casa_energy::DramSystem;
 //! use casa_genome::synth::{generate_reference, ReferenceProfile};
 //!
 //! let reference = generate_reference(&ReferenceProfile::human_like(), 4_000, 7);
-//! let casa = CasaAccelerator::new(&reference, CasaConfig::small(2_000))?;
+//! let session = SeedingSession::new(&reference, CasaConfig::small(2_000), 2)?;
 //! let read = reference.subseq(100, 50);
-//! let run = casa.seed_reads(std::slice::from_ref(&read));
+//! let run = session.seed_reads(std::slice::from_ref(&read));
 //! assert_eq!(run.smems[0][0].len(), 50);
-//! println!("{:.3} Mreads/s", run.throughput_reads_per_s(casa.partition_count(), &DramSystem::casa()) / 1e6);
+//! println!("{:.3} Mreads/s", run.throughput_reads_per_s(session.partition_count(), &DramSystem::casa()) / 1e6);
 //! # Ok::<(), casa_core::Error>(())
 //! ```
 
@@ -55,7 +55,7 @@ mod session;
 pub mod stats;
 pub mod stream;
 
-pub use accelerator::{CasaAccelerator, CasaRun, StrandedRun};
+pub use accelerator::{seed_reads_serial, CasaRun, StrandedRun};
 pub use backend::{
     BackendKind, ErtBackend, FmBackend, SeedingBackend, TileKmerCodes, UnknownBackendError,
     BACKEND_ENV,

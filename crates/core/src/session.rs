@@ -1,7 +1,7 @@
 //! Reusable parallel seeding sessions with fault-tolerant scheduling.
 //!
-//! [`SeedingSession`] is the batch-seeding runtime behind
-//! [`CasaAccelerator`](crate::CasaAccelerator): it builds one boxed
+//! [`SeedingSession`] is the batch-seeding runtime behind `casa::Seeder`,
+//! the CLI and the server: it builds one boxed
 //! [`SeedingBackend`] per partition **once** at construction (the filter
 //! tables, CAM loads, or index builds dominate small-batch runs) and then
 //! schedules partition × tile jobs across a worker pool for each incoming
@@ -16,8 +16,7 @@
 //! # Determinism
 //!
 //! Results are bit-identical to the serial reference path
-//! ([`CasaAccelerator::seed_reads_serial`](crate::CasaAccelerator::seed_reads_serial))
-//! at any worker count:
+//! ([`seed_reads_serial`](crate::seed_reads_serial)) at any worker count:
 //!
 //! * each (partition, tile) job writes its SMEMs into a dedicated slot, and
 //!   the final per-read lists are assembled in partition-index order before
@@ -228,46 +227,15 @@ impl SeedingSession {
         plan: FaultPlan,
         backend: BackendKind,
     ) -> Result<SeedingSession, Error> {
-        if workers == 0 {
-            return Err(Error::ZeroWorkers);
-        }
-        let plan = plan.validated()?;
-        let config = config.validated()?;
-        let partitions: Vec<Partition> = config.partitioning.split(reference);
-        if partitions.is_empty() {
-            return Err(Error::EmptyReference);
-        }
-        let part_starts = partitions.iter().map(|p| p.start as u32).collect();
-        let mut engines = partitions
-            .iter()
-            .map(|p| build_backend(backend, &p.seq, config))
-            .collect::<Result<Vec<_>, _>>()?;
-        let mut fault_sites = FaultSites::default();
-        for (pi, engine) in engines.iter_mut().enumerate() {
-            let (cam, filter) =
-                engine.inject_faults(&plan.cam_faults_for(pi), &plan.filter_faults_for(pi));
-            fault_sites.cam.push(cam);
-            fault_sites.filter.push(filter);
-        }
-        if plan.tile_panic_rate > 0.0 {
-            faults::silence_injected_panics();
-        }
-        let nparts = partitions.len();
-        Ok(SeedingSession {
+        SeedingSession::assemble(
+            reference,
             config,
-            part_starts: Arc::new(part_starts),
-            parts: Arc::new(partitions),
-            backend,
-            engines: Arc::new(engines.into_iter().map(Mutex::new).collect()),
-            golden: Arc::new((0..nparts).map(|_| OnceLock::new()).collect()),
-            quarantined: Arc::new((0..nparts).map(|_| AtomicBool::new(false)).collect()),
-            plan,
-            fault_sites: Arc::new(fault_sites),
             workers,
-            tile_deadline: None,
-            cancel: None,
-            profiling: Arc::new(AtomicBool::new(false)),
-        })
+            plan,
+            backend,
+            |p, config| Ok(build_backend(backend, &p.seq, config)?),
+            |_| None,
+        )
     }
 
     /// Builds a session from a loaded index image instead of from scratch.
@@ -298,19 +266,46 @@ impl SeedingSession {
         plan: FaultPlan,
         backend: BackendKind,
     ) -> Result<SeedingSession, Error> {
+        SeedingSession::assemble(
+            index.reference(),
+            *index.config(),
+            workers,
+            plan,
+            backend,
+            |p, config| index.backend_for_partition(backend, p, config),
+            |p| index.suffix_array_for_partition(p),
+        )
+    }
+
+    /// The one assembly path behind [`with_backend`](Self::with_backend)
+    /// and [`from_image`](Self::from_image), which differ only in where
+    /// each partition's engine (`engine_for`) and prebuilt golden suffix
+    /// array (`golden_for`; `None` builds it lazily on first fallback)
+    /// come from. Validates the knobs, splits `reference`, injects the
+    /// plan's hardware faults into the engines and arms the quarantine
+    /// state.
+    fn assemble(
+        reference: &PackedSeq,
+        config: CasaConfig,
+        workers: usize,
+        plan: FaultPlan,
+        backend: BackendKind,
+        engine_for: impl Fn(&Partition, CasaConfig) -> Result<Box<dyn SeedingBackend>, Error>,
+        golden_for: impl Fn(&Partition) -> Option<SuffixArray>,
+    ) -> Result<SeedingSession, Error> {
         if workers == 0 {
             return Err(Error::ZeroWorkers);
         }
         let plan = plan.validated()?;
-        let config = *index.config();
-        let partitions: Vec<Partition> = config.partitioning.split(index.reference());
+        let config = config.validated()?;
+        let partitions: Vec<Partition> = config.partitioning.split(reference);
         if partitions.is_empty() {
             return Err(Error::EmptyReference);
         }
         let part_starts = partitions.iter().map(|p| p.start as u32).collect();
         let mut engines = partitions
             .iter()
-            .map(|p| index.backend_for_partition(backend, p, config))
+            .map(|p| engine_for(p, config))
             .collect::<Result<Vec<_>, _>>()?;
         let mut fault_sites = FaultSites::default();
         for (pi, engine) in engines.iter_mut().enumerate() {
@@ -322,17 +317,11 @@ impl SeedingSession {
         if plan.tile_panic_rate > 0.0 {
             faults::silence_injected_panics();
         }
-        let nparts = partitions.len();
-        let golden: Vec<OnceLock<SuffixArray>> = partitions
+        let golden = partitions
             .iter()
-            .map(|p| {
-                let cell = OnceLock::new();
-                if let Some(sa) = index.suffix_array_for_partition(p) {
-                    let _ = cell.set(sa);
-                }
-                cell
-            })
+            .map(|p| golden_for(p).map_or_else(OnceLock::new, OnceLock::from))
             .collect();
+        let nparts = partitions.len();
         Ok(SeedingSession {
             config,
             part_starts: Arc::new(part_starts),
@@ -965,9 +954,7 @@ mod tests {
         let mut config = CasaConfig::small(700);
         config.partitioning = casa_genome::PartitionScheme::new(700, 60);
         let reads = reads_for(&reference, 30, 44, 5);
-        let serial = crate::CasaAccelerator::new(&reference, config)
-            .expect("valid config")
-            .seed_reads_serial(&reads);
+        let serial = crate::seed_reads_serial(&reference, config, &reads).expect("valid config");
         for workers in [1, 2, 8] {
             let session = SeedingSession::new(&reference, config, workers).expect("valid config");
             let run = session.seed_reads(&reads);

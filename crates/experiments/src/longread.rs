@@ -8,12 +8,12 @@
 //! bases covered by seeds, pivots filtered, and modelled throughput in
 //! bases/second.
 
-use casa_core::{CasaAccelerator, CasaConfig};
+use casa_core::{CasaConfig, SeedingSession};
 use casa_energy::DramSystem;
 use casa_genome::{PackedSeq, ReadSimConfig, ReadSimulator};
 
 use crate::report::Table;
-use crate::scenario::{Genome, Scale, Scenario};
+use crate::scenario::{session_workers, Genome, Scale, Scenario};
 
 /// One row of the long-read sweep.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -65,7 +65,8 @@ pub fn run(scale: Scale) -> Vec<LongReadRow> {
                 .map(|r| r.seq)
                 .collect();
             let config = CasaConfig::paper(scale.partition_len(), read_len);
-            let casa = CasaAccelerator::new(reference, config).expect("valid config");
+            let casa =
+                SeedingSession::new(reference, config, session_workers()).expect("valid config");
             let run = casa.seed_reads(&reads);
             let dram = DramSystem::casa();
             let seconds = run.seconds(&dram);

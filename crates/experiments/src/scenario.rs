@@ -98,6 +98,12 @@ pub struct Scenario {
 /// The paper's read length.
 pub const READ_LEN: usize = 101;
 
+/// Seeding-session workers for experiments and benches: one per available
+/// CPU. Worker count never changes output, only wall-clock time.
+pub fn session_workers() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 impl Scenario {
     /// Builds the standard workload for `genome` at `scale`
     /// (deterministic).

@@ -10,7 +10,7 @@ use casa_core::{CasaRun, SeedingSession};
 use casa_energy::DramSystem;
 use casa_index::Smem;
 
-use crate::scenario::{Scale, Scenario, READ_LEN};
+use crate::scenario::{session_workers, Scale, Scenario, READ_LEN};
 
 /// Partition passes CASA makes over GRCh38 (paper §4.1: 768 parts).
 pub const CASA_FULL_GENOME_PASSES: f64 = 768.0;
@@ -86,9 +86,9 @@ impl SystemsRun {
         // Scoped join handles carry each system's result out directly.
         let (casa_out, ert, genax_out, bwa) = std::thread::scope(|scope| {
             let casa = scope.spawn(|| {
-                let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-                let session = SeedingSession::new(reference, scenario.casa_config(), workers)
-                    .expect("scenario config is valid");
+                let session =
+                    SeedingSession::new(reference, scenario.casa_config(), session_workers())
+                        .expect("scenario config is valid");
                 let run = session.seed_reads(reads);
                 (run, session.partition_count())
             });

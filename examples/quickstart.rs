@@ -2,7 +2,8 @@
 //!
 //! Run with: `cargo run --release -p casa --example quickstart`
 
-use casa_core::{CasaAccelerator, CasaConfig};
+use casa::Seeder;
+use casa_core::CasaConfig;
 use casa_energy::DramSystem;
 use casa_genome::synth::{generate_reference, ReferenceProfile};
 use casa_genome::{ReadSimConfig, ReadSimulator};
@@ -30,7 +31,10 @@ fn main() {
         .read_len(101)
         .build()
         .expect("published design point is valid");
-    let casa = CasaAccelerator::new(&reference, config).expect("valid config");
+    let casa = Seeder::builder(&reference)
+        .config(config)
+        .build()
+        .expect("valid config");
     let run = casa.seed_reads(&reads);
 
     // 4. Inspect the seeds of the first few reads.

@@ -4,11 +4,12 @@
 //!
 //! Run with: `cargo run --release -p casa --example seeding_bakeoff`
 
+use casa::Seeder;
 use casa_baselines::{
     BwaMem2Model, ErtAccelerator, ErtConfig, GenaxAccelerator, GenaxConfig, GencacheAccelerator,
     GencacheConfig, I7_6800K,
 };
-use casa_core::{CasaAccelerator, CasaConfig};
+use casa_core::CasaConfig;
 use casa_energy::DramSystem;
 use casa_genome::synth::{generate_reference, ReferenceProfile};
 use casa_genome::{ReadSimConfig, ReadSimulator};
@@ -27,7 +28,10 @@ fn main() {
         .read_len(101)
         .build()
         .expect("published design point is valid");
-    let casa = CasaAccelerator::new(&reference, config).expect("valid config");
+    let casa = Seeder::builder(&reference)
+        .config(config)
+        .build()
+        .expect("valid config");
     let casa_run = casa.seed_reads(&reads);
 
     // GenAx (12-mer seed & position tables).

@@ -221,7 +221,11 @@ fn request(
 }
 
 fn expected_tsv(index: &LoadedIndex, reads: &[PackedSeq]) -> String {
-    let run = Seeder::from_image_with(index, 1, FaultPlan::default(), BackendKind::Cam)
+    let run = Seeder::builder_from_image(index)
+        .workers(1)
+        .fault_plan(FaultPlan::default())
+        .backend(BackendKind::Cam)
+        .build()
         .expect("mapped seeder")
         .seed_reads(reads);
     let mut out = String::new();
@@ -263,7 +267,11 @@ fn serve_hot_swaps_images_under_load_without_dropping_requests() {
     };
     serve.limits.queue_depth = 64;
     let fingerprint = index_a.fingerprint();
-    let seeder = Seeder::from_image_with(&index_a, 2, FaultPlan::default(), BackendKind::Cam)
+    let seeder = Seeder::builder_from_image(&index_a)
+        .workers(2)
+        .fault_plan(FaultPlan::default())
+        .backend(BackendKind::Cam)
+        .build()
         .expect("mapped seeder");
     let server = Server::start_with_index(
         seeder,

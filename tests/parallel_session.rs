@@ -3,11 +3,12 @@
 //! count, equal to the serial per-call path and to the golden FM-index
 //! SMEM algorithm.
 
-use casa::core::{CasaAccelerator, CasaConfig, SeedingSession};
+use casa::core::{seed_reads_serial, CasaConfig, SeedingSession};
 use casa::genome::synth::{generate_reference, ReferenceProfile};
 use casa::genome::{PackedSeq, ReadSimConfig, ReadSimulator};
 use casa::index::smem::smems_unidirectional;
 use casa::index::SuffixArray;
+use casa::Seeder;
 
 /// Strict stats equality only holds when no fault plan is armed via the
 /// environment; the CI plan adds recovery bookkeeping (retries,
@@ -46,9 +47,7 @@ fn session_is_deterministic_across_worker_counts() {
 
     // The executable specification: one engine rebuild per partition per
     // call, single-threaded.
-    let serial = CasaAccelerator::with_workers(&reference, config, 1)
-        .expect("valid config")
-        .seed_reads_serial(&reads);
+    let serial = seed_reads_serial(&reference, config, &reads).expect("valid config");
 
     for workers in [1, 2, 8] {
         let session = SeedingSession::new(&reference, config, workers).expect("valid config");
@@ -93,7 +92,13 @@ fn session_matches_golden_fm_index_smems() {
 fn accelerator_wrapper_equals_session() {
     let (reference, reads) = workload();
     let config = CasaConfig::paper(30_000, 101);
-    let casa = CasaAccelerator::with_workers(&reference, config, 4).expect("valid config");
+    // The embedding wrapper resolves its unset knobs (backend, fault
+    // plan) exactly as the session constructor does.
+    let casa = Seeder::builder(&reference)
+        .config(config)
+        .workers(4)
+        .build()
+        .expect("valid config");
     let session = SeedingSession::new(&reference, config, 4).expect("valid config");
 
     let a = casa.seed_reads(&reads);
@@ -101,9 +106,7 @@ fn accelerator_wrapper_equals_session() {
     assert_eq!(a.smems, b.smems);
     assert_eq!(a.stats, b.stats);
 
-    // The accelerator's own both-strands entry point is deprecated in
-    // favour of this: one stranded path, on the session.
-    let sa = casa.session().seed_reads_both_strands(&reads);
+    let sa = casa.seed_reads_both_strands(&reads);
     let sb = session.seed_reads_both_strands(&reads);
     assert_eq!(sa.forward.smems, sb.forward.smems);
     assert_eq!(sa.reverse.smems, sb.reverse.smems);
