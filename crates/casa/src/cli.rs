@@ -9,6 +9,7 @@ use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 use std::time::Duration;
 
 use casa_align::aligner::{align_read, AlignConfig};
@@ -611,6 +612,11 @@ fn run_batch(
     let read_len = seqs.iter().map(PackedSeq::len).max().unwrap_or(101);
     let (session, index_source, index_ready_micros) =
         prepare_session(options, image, reference, read_len)?;
+    for (name, seq) in names.iter().zip(&seqs) {
+        session
+            .check_read_len(name, seq.len())
+            .map_err(CliError::Config)?;
+    }
     let kernel = session.kernel_backend().as_str();
     let backend = session.backend().as_str();
     let stranded = session.seed_reads_both_strands(&seqs);
@@ -701,7 +707,6 @@ fn run_streaming(
         None => None,
     };
     let read_len = first.as_ref().map_or(101, |r| r.seq.len());
-    let source = first.into_iter().map(Ok).chain(reads);
 
     let (session, index_source, index_ready_micros) =
         prepare_session(options, image, reference, read_len)?;
@@ -719,6 +724,23 @@ fn run_streaming(
     )
     .map_err(CliError::Config)?
     .with_cancel_token(cancel.clone());
+
+    // A read longer than the session's partition overlap would come back
+    // with split SMEMs: it ends the stream as a source error, and the
+    // typed error is kept aside to be reported in place of the message.
+    let too_long = OnceLock::new();
+    let source = first.into_iter().map(Ok).chain(reads).map(|item| {
+        let record = item.map_err(|e| e.to_string())?;
+        if let Err(e) = stream
+            .session()
+            .check_read_len(&record.name, record.seq.len())
+        {
+            let message = e.to_string();
+            let _ = too_long.set(e);
+            return Err(message);
+        }
+        Ok(record)
+    });
 
     let base = match (&options.checkpoint, options.resume) {
         (Some(path), true) => Some(stream.load_checkpoint(path).map_err(CliError::Checkpoint)?),
@@ -801,7 +823,10 @@ fn run_streaming(
         Some(cp) => stream.resume(source, sink, cp),
         None => stream.run(source, sink),
     }
-    .map_err(stream_err)?;
+    .map_err(|e| match too_long.into_inner() {
+        Some(e) => CliError::Config(e),
+        None => stream_err(e),
+    })?;
 
     Ok(RunSummary {
         reads: report.reads,
@@ -1663,6 +1688,88 @@ mod tests {
             matches!(err, CliError::Config(casa_core::Error::ZeroWorkers)),
             "got {err:?}"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A read longer than the partition overlap straddling a cut: the
+    /// whole-file run sizes the overlap from the longest read and seeds it
+    /// whole; a `--stream` run (overlap from the first, 30 bp read) and a
+    /// run on an image built for 30 bp reads must refuse it rather than
+    /// return it split at the cut.
+    #[test]
+    fn reads_longer_than_the_overlap_are_rejected_not_split() {
+        let dir = std::env::temp_dir().join(format!("casa_cli_long_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let reference = generate_reference(&ReferenceProfile::uniform(), 30_000, 13);
+        let ref_path = dir.join("ref.fa");
+        write_fasta(
+            BufWriter::new(File::create(&ref_path).unwrap()),
+            &[FastaRecord {
+                name: "chrLong".into(),
+                seq: reference.clone(),
+            }],
+        )
+        .unwrap();
+        let records: Vec<FastqRecord> = [
+            ("r1", reference.subseq(500, 30)),
+            ("r2", reference.subseq(9_950, 101)),
+        ]
+        .into_iter()
+        .map(|(name, seq)| FastqRecord {
+            name: name.into(),
+            qual: vec![b'I'; seq.len()],
+            seq,
+        })
+        .collect();
+        let fq_path = dir.join("reads.fq");
+        write_fastq(BufWriter::new(File::create(&fq_path).unwrap()), &records).unwrap();
+
+        let whole = Options {
+            sam_out: Some(dir.join("whole.sam")),
+            seeds_out: Some(dir.join("whole.tsv")),
+            partition_len: 10_000,
+            threads: Some(1),
+            ..base_options(ref_path.clone(), fq_path.clone())
+        };
+        run(&whole).unwrap();
+        let seeds = std::fs::read_to_string(dir.join("whole.tsv")).unwrap();
+        assert!(seeds.contains("r2\t+\t0\t101\t9950\n"), "got {seeds}");
+
+        let assert_rejected = |err: CliError| {
+            assert!(
+                matches!(&err, CliError::Config(casa_core::Error::ReadTooLong { read, len: 101, max: 30 })
+                    if read == "r2"),
+                "got {err:?}"
+            );
+            assert!(err.to_string().contains("config error"), "{err}");
+        };
+        let streamed = Options {
+            sam_out: Some(dir.join("stream.sam")),
+            seeds_out: Some(dir.join("stream.tsv")),
+            stream: true,
+            ..whole.clone()
+        };
+        assert_rejected(run(&streamed).unwrap_err());
+
+        let image_path = dir.join("ref30.casaimg");
+        run_index(
+            &IndexCommand::Build {
+                reference: ref_path.clone(),
+                out: image_path.clone(),
+                partition_len: 10_000,
+                read_len: 30,
+            },
+            &mut Vec::new(),
+        )
+        .unwrap();
+        for stream in [false, true] {
+            let mapped = Options {
+                index_image: Some(image_path.clone()),
+                stream,
+                ..streamed.clone()
+            };
+            assert_rejected(run(&mapped).unwrap_err());
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -771,6 +771,25 @@ fn handle_seed(mut stream: TcpStream, head: RequestHead, shared: &Shared) {
         }
     };
 
+    // Pin the generation now: the read-length check and the seeding must
+    // see the same index.
+    let generation = shared.current_generation();
+    if let Some(e) = reads.iter().enumerate().find_map(|(i, read)| {
+        generation
+            .session
+            .check_read_len(&i.to_string(), read.len())
+            .err()
+    }) {
+        let _ = write_response(
+            &mut stream,
+            "400 Bad Request",
+            "text/plain",
+            &[],
+            format!("{e}\n").as_bytes(),
+        );
+        return;
+    }
+
     let id = next_request_id();
     let _scope = RequestScope::enter(id);
     let token = CancelToken::new();
@@ -779,7 +798,7 @@ fn handle_seed(mut stream: TcpStream, head: RequestHead, shared: &Shared) {
         id,
         reads,
         token: token.clone(),
-        generation: shared.current_generation(),
+        generation,
         reply: reply_tx,
     };
     if let Err((reason, _job)) = shared

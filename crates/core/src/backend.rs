@@ -33,6 +33,7 @@
 //! non-CAM backends have no filter banks or CAM arrays, so those counters
 //! stay zero and CASA's cycle model does not apply to them.
 
+use casa_filter::PreSeedingFilter;
 use casa_genome::PackedSeq;
 use casa_index::smem::smems_bidirectional;
 use casa_index::{BiFmIndex, ErtIndex, Smem};
@@ -180,9 +181,22 @@ impl TileKmerCodes {
     /// indices beyond the computed tile (a defaulted instance holds no
     /// reads at all).
     pub fn read(&self, i: usize) -> &[u64] {
+        let (window, n) = self.read_with_tail(i, 0);
+        &window[..n]
+    }
+
+    /// Read `i`'s codes followed by up to `tail` codes of the reads after
+    /// it (fewer at the end of the tile), as `(window, n)` with read `i`'s
+    /// own codes in `window[..n]` — the shape
+    /// [`PreSeedingFilter::lookup_window_into`](casa_filter::PreSeedingFilter::lookup_window_into)
+    /// takes. The tile's codes are contiguous, so this is one slice.
+    pub(crate) fn read_with_tail(&self, i: usize, tail: usize) -> (&[u64], usize) {
         match (self.offsets.get(i), self.offsets.get(i + 1)) {
-            (Some(&lo), Some(&hi)) => &self.codes[lo..hi],
-            _ => &[],
+            (Some(&lo), Some(&hi)) => {
+                let end = hi.saturating_add(tail).min(self.codes.len());
+                (&self.codes[lo..end], hi - lo)
+            }
+            _ => (&[], 0),
         }
     }
 }
@@ -330,6 +344,25 @@ impl SeedingBackend for PartitionEngine {
         out: &mut Vec<Smem>,
     ) {
         PartitionEngine::seed_read_with_codes_into(self, read, codes, stats, out);
+    }
+
+    /// Seeds each read with the following reads' first codes as the
+    /// filter's prefetch-only tail, so the lookup pipeline runs across
+    /// read boundaries instead of draining and refilling at every read.
+    fn seed_tile_with_codes_into(
+        &mut self,
+        reads: &[PackedSeq],
+        codes: &TileKmerCodes,
+        stats: &mut SeedingStats,
+        out: &mut Vec<Vec<Smem>>,
+    ) {
+        out.clear();
+        for (i, read) in reads.iter().enumerate() {
+            let (window, n) = codes.read_with_tail(i, PreSeedingFilter::LOOKUP_TAIL);
+            let mut smems = Vec::new();
+            PartitionEngine::seed_read_window_into(self, read, window, n, stats, &mut smems);
+            out.push(smems);
+        }
     }
 
     fn set_profiling(&mut self, enabled: bool) {
@@ -592,27 +625,62 @@ mod tests {
 
     /// The session's shared-codes tile path must be bit-identical —
     /// output *and* stats — to the plain tile path on every backend,
-    /// including for a read shorter than the filter k-mer (whose code
-    /// range is empty).
+    /// including for reads shorter than the filter k-mer (whose code range
+    /// is empty) at the end and in the middle of a tile, where the CAM
+    /// engine's cross-read prefetch tail spans the empty range, and for
+    /// tiles too small to fill the tail.
     #[test]
     fn precomputed_codes_path_matches_plain_path() {
         let part = generate_reference(&ReferenceProfile::human_like(), 2_500, 5);
         let config = CasaConfig::small(part.len());
+        let k = config.filter.k;
         let mut reads: Vec<PackedSeq> = (0..8).map(|i| part.subseq(i * 100, 40)).collect();
-        reads.push(part.subseq(0, config.filter.k - 1));
-        let codes = TileKmerCodes::compute(&reads, config.filter.k);
-        for kind in BackendKind::ALL {
-            let mut a = build_backend(kind, &part, config).expect("valid config");
-            let mut b = build_backend(kind, &part, config).expect("valid config");
-            let mut sa = SeedingStats::default();
-            let mut sb = SeedingStats::default();
-            let mut with_codes = Vec::new();
-            let mut plain = Vec::new();
-            a.seed_tile_with_codes_into(&reads, &codes, &mut sa, &mut with_codes);
-            b.seed_tile_into(&reads, &mut sb, &mut plain);
-            assert_eq!(with_codes, plain, "{kind} codes path diverged");
-            assert_eq!(sa, sb, "{kind} codes-path stats diverged");
+        reads.insert(4, part.subseq(1_000, k - 1));
+        reads.push(part.subseq(0, k - 1));
+        let tail = PreSeedingFilter::LOOKUP_TAIL;
+        let tiles: Vec<Vec<PackedSeq>> = vec![
+            reads.clone(),
+            vec![part.subseq(700, 40)],
+            // 2 + 1 + 3 codes: fewer than the tail in total.
+            vec![
+                part.subseq(300, k + 1),
+                part.subseq(1_200, k - 2),
+                part.subseq(1_800, k),
+                part.subseq(2_000, k + 2),
+            ],
+        ];
+        assert!(
+            tiles[2]
+                .iter()
+                .map(|r| r.len().saturating_sub(k - 1))
+                .sum::<usize>()
+                < tail
+        );
+        for tile in &tiles {
+            let codes = TileKmerCodes::compute(tile, k);
+            for kind in BackendKind::ALL {
+                let mut a = build_backend(kind, &part, config).expect("valid config");
+                let mut b = build_backend(kind, &part, config).expect("valid config");
+                let mut sa = SeedingStats::default();
+                let mut sb = SeedingStats::default();
+                let mut with_codes = Vec::new();
+                let mut plain = Vec::new();
+                a.seed_tile_with_codes_into(tile, &codes, &mut sa, &mut with_codes);
+                b.seed_tile_into(tile, &mut sb, &mut plain);
+                assert_eq!(with_codes, plain, "{kind} codes path diverged");
+                assert_eq!(sa, sb, "{kind} codes-path stats diverged");
+            }
         }
+        // The window of a read is its own codes plus the next reads' codes,
+        // skipping the empty range of the short read in the middle.
+        let codes = TileKmerCodes::compute(&reads, k);
+        let (window, n) = codes.read_with_tail(3, tail);
+        assert_eq!(&window[..n], codes.read(3));
+        assert_eq!(window.len() - n, tail);
+        assert_eq!(window[n..], codes.read(5)[..tail]);
+        assert_eq!(codes.read_with_tail(4, tail).1, 0);
+        let last = reads.len() - 2;
+        assert_eq!(codes.read_with_tail(last, tail).0, codes.read(last));
         // Out-of-range reads and defaulted instances report no codes.
         assert_eq!(codes.read(reads.len()), &[] as &[u64]);
         assert_eq!(TileKmerCodes::default().read(0), &[] as &[u64]);

@@ -262,6 +262,23 @@ impl PartitionEngine {
         stats: &mut SeedingStats,
         out: &mut Vec<Smem>,
     ) {
+        self.seed_read_window_into(read, codes, codes.len(), stats, out);
+    }
+
+    /// [`seed_read_with_codes_into`](Self::seed_read_with_codes_into) for
+    /// a read whose codes are `window[..n]`, followed by codes that are
+    /// only prefetched (see [`PreSeedingFilter::lookup_window_into`]) —
+    /// the next reads' codes when seeding a tile, so the filter pipeline
+    /// is already primed when the next read starts. The tail never
+    /// changes output or statistics.
+    pub(crate) fn seed_read_window_into(
+        &mut self,
+        read: &PackedSeq,
+        window: &[u64],
+        n: usize,
+        stats: &mut SeedingStats,
+        out: &mut Vec<Smem>,
+    ) {
         out.clear();
         stats.read_passes += 1;
         let filter_before = self.filter.stats();
@@ -269,8 +286,8 @@ impl PartitionEngine {
         let mut computing_cycles = 0u64;
 
         if read.len() >= self.config.filter.k {
-            debug_assert_eq!(codes.len(), read.len() - self.config.filter.k + 1);
-            self.seed_read_body(read, codes, stats, &mut computing_cycles, out);
+            debug_assert_eq!(n, read.len() - self.config.filter.k + 1);
+            self.seed_read_body(read, window, n, stats, &mut computing_cycles, out);
         }
 
         stats.smems_reported += out.len() as u64;
@@ -314,12 +331,14 @@ impl PartitionEngine {
     fn seed_read_body(
         &mut self,
         read: &PackedSeq,
-        codes: &[u64],
+        window: &[u64],
+        n: usize,
         stats: &mut SeedingStats,
         computing_cycles: &mut u64,
         out: &mut Vec<Smem>,
     ) {
         let k = self.config.filter.k;
+        let codes = &window[..n];
 
         if self.config.exact_match_preprocessing
             && self.try_exact_match_into(read, codes, stats, computing_cycles, out)
@@ -336,7 +355,8 @@ impl PartitionEngine {
         let batched = self.config.use_filter_table && self.batched_filter;
         if batched {
             let t = StageTimer::start(self.profiling);
-            self.filter.lookup_codes_into(codes, &mut self.indicators);
+            self.filter
+                .lookup_window_into(window, n, &mut self.indicators);
             t.stop(&mut stats.profile, Stage::FilterLookup);
         }
 

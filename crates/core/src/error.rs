@@ -163,6 +163,19 @@ pub enum Error {
         /// What went wrong, in human-readable form.
         what: String,
     },
+    /// A read is longer than the partition overlap allows: it could
+    /// straddle a partition cut that no partition covers whole, and its
+    /// SMEMs would come back split (see
+    /// [`crate::SeedingSession::check_read_len`]).
+    ReadTooLong {
+        /// The read's name (or position, where reads have no names).
+        read: String,
+        /// The read's length in bases.
+        len: usize,
+        /// The longest read the session seeds exactly (partition overlap
+        /// + 1).
+        max: usize,
+    },
 }
 
 impl fmt::Display for Error {
@@ -174,6 +187,11 @@ impl fmt::Display for Error {
             Error::Runtime { what } => write!(f, "unrecoverable scheduler state: {what}"),
             Error::Cancelled => write!(f, "seeding run cancelled"),
             Error::Image { what } => write!(f, "index image error: {what}"),
+            Error::ReadTooLong { read, len, max } => write!(
+                f,
+                "read {read} is {len} bp, longer than the {max} bp the partition overlap \
+                 covers (partitions overlap by read length - 1)"
+            ),
         }
     }
 }
@@ -225,6 +243,16 @@ mod tests {
             reason: "batch_reads must be positive",
         };
         assert!(e.to_string().contains("batch_reads"));
+        let e = Error::ReadTooLong {
+            read: "r2".to_string(),
+            len: 101,
+            max: 30,
+        };
+        let msg = e.to_string();
+        assert!(
+            msg.contains("r2") && msg.contains("101") && msg.contains("30"),
+            "{msg}"
+        );
     }
 
     #[test]

@@ -438,6 +438,30 @@ impl SeedingSession {
         self.engines.len()
     }
 
+    /// Checks that a read of `len` bases named `read` can be seeded
+    /// exactly. Partition `i` covers `[i·len, (i + 1)·len + overlap)`, so
+    /// any window of at most `overlap + 1` bases lies whole inside some
+    /// partition; a longer read can straddle a cut and would come back as
+    /// split SMEMs. A single-partition session takes any length. Callers
+    /// that accept reads from outside (the CLI, `casa-serve`) call this
+    /// for every read before seeding it.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::ReadTooLong`] naming `read`, its length and the maximum
+    /// (`overlap + 1`).
+    pub fn check_read_len(&self, read: &str, len: usize) -> Result<(), Error> {
+        let max = self.config.partitioning.overlap + 1;
+        if self.engines.len() > 1 && len > max {
+            return Err(Error::ReadTooLong {
+                read: read.to_string(),
+                len,
+                max,
+            });
+        }
+        Ok(())
+    }
+
     /// Number of partitions currently quarantined to the golden model.
     pub fn quarantined_count(&self) -> usize {
         self.quarantined
@@ -915,6 +939,34 @@ mod tests {
             BackendKind::from_env(),
             Ok(None) | Ok(Some(BackendKind::Cam))
         )
+    }
+
+    /// The overlap bounds the reads a multi-partition session can seed
+    /// exactly. A 101 bp read across the cut of a session sized for 30 bp
+    /// reads really does come back split, which is why callers must check.
+    #[test]
+    fn reads_longer_than_the_overlap_are_flagged() {
+        let reference = generate_reference(&ReferenceProfile::uniform(), 30_000, 7);
+        let session = SeedingSession::new(&reference, CasaConfig::paper(10_000, 30), 1).unwrap();
+        assert_eq!(session.check_read_len("r1", 30), Ok(()));
+        assert_eq!(
+            session.check_read_len("r2", 101),
+            Err(Error::ReadTooLong {
+                read: "r2".to_string(),
+                len: 101,
+                max: 30,
+            })
+        );
+        let straddler = reference.subseq(9_950, 101);
+        let run = session.seed_reads(std::slice::from_ref(&straddler));
+        assert!(
+            run.smems[0].iter().all(|s| s.len() < 101),
+            "expected the straddling read to come back split"
+        );
+
+        let whole = SeedingSession::new(&reference, CasaConfig::paper(30_000, 30), 1).unwrap();
+        assert_eq!(whole.partition_count(), 1);
+        assert_eq!(whole.check_read_len("r2", 101), Ok(()));
     }
 
     #[test]

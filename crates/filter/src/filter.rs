@@ -349,37 +349,104 @@ impl PreSeedingFilter {
         si
     }
 
-    /// How many codes ahead of the consuming lookup the batched pass
-    /// issues its mini-index prefetch load. Far enough to cover an L3/DRAM
-    /// round trip at typical lookup cost, small enough to stay inside one
-    /// read's pivot window.
-    const LOOKUP_AHEAD: usize = 16;
+    /// Pipeline distance of the batched lookups, in codes: while code `i`
+    /// is looked up, stage 2 works on code `i + LOOKUP_AHEAD` and stage 1
+    /// on code `i + 2 * LOOKUP_AHEAD` (see
+    /// [`lookup_window_into`](Self::lookup_window_into)). Chosen by
+    /// measurement on 1 Mbp partitions (4 MB mini index and ~20 MB of tag
+    /// and data rows each) on a 2-core AMD EPYC: 8 and 16 are within noise
+    /// of each other, 4 gives up part of the gain.
+    const LOOKUP_AHEAD: usize = 8;
+
+    /// How many codes past the looked-up ones
+    /// [`lookup_window_into`](Self::lookup_window_into) can use: a longer
+    /// tail is never touched, a shorter one only leaves the last codes
+    /// without lookahead.
+    pub const LOOKUP_TAIL: usize = 2 * Self::LOOKUP_AHEAD;
 
     /// Looks up a whole batch of pre-computed k-mer codes in one
     /// software-pipelined pass, filling `out` with one indicator per code
-    /// (cleared first).
+    /// (cleared first). Same as
+    /// [`lookup_window_into(codes, codes.len(), out)`](Self::lookup_window_into).
+    pub fn lookup_codes_into(&mut self, codes: &[u64], out: &mut Vec<SearchIndicator>) {
+        self.lookup_window_into(codes, codes.len(), out);
+    }
+
+    /// Looks up `window[..n]` in one software-pipelined pass, filling `out`
+    /// with one indicator per looked-up code (cleared first); the codes in
+    /// `window[n..]` are only prefetched, never looked up or counted.
     ///
     /// Semantically identical to calling [`lookup_code`](Self::lookup_code)
-    /// per code — same indicators, same [`FilterStats`] deltas — but
-    /// restructured for memory-level parallelism. The per-pivot path
-    /// issues one random mini-index load per loop iteration, each behind
-    /// the previous iteration's gating branches; the mini index is `4^m`
-    /// entries (4 MB at the paper's m = 10), far beyond L2, so those
-    /// serialized misses dominate the pre-seeding stage. Here every
-    /// iteration *also* loads the mini-index slot `LOOKUP_AHEAD`
-    /// codes ahead (forced via [`std::hint::black_box`] on the loaded
-    /// value, so the compiler cannot drop the dead load) — by the time
-    /// the consuming lookup runs, its line is resident.
-    pub fn lookup_codes_into(&mut self, codes: &[u64], out: &mut Vec<SearchIndicator>) {
+    /// per code of `window[..n]` — same indicators, same [`FilterStats`]
+    /// deltas — but restructured for memory-level parallelism. A lookup is
+    /// a chain of three dependent loads (mini index, then the tag bucket,
+    /// then the data row) into tables far beyond L2, so the per-code loop
+    /// waits out up to three misses per code. Here, alongside the lookup of
+    /// code `i`:
+    ///
+    /// 1. stage 1 prefetches the mini-index line of code `i + 2D`;
+    /// 2. stage 2 reads the (now resident) mini-index bounds of code
+    ///    `i + D` and, when its bucket is non-empty, prefetches the first
+    ///    tag row and the first data row of the bucket;
+    ///
+    /// with `D = LOOKUP_AHEAD`. The first `2D` codes are primed before the
+    /// loop. A caller holding more codes than it wants looked up now — the
+    /// CAM engine seeding a tile of reads — passes the following reads'
+    /// codes as the tail, so the pipeline runs across read boundaries.
+    /// Tail codes may be anything (out-of-range codes are skipped by the
+    /// prefetch stages); `window[..n]` must be valid codes for this
+    /// filter's `k`, as for `lookup_code`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n > window.len()`.
+    pub fn lookup_window_into(&mut self, window: &[u64], n: usize, out: &mut Vec<SearchIndicator>) {
+        const D: usize = PreSeedingFilter::LOOKUP_AHEAD;
+        let codes = &window[..n];
         out.clear();
-        out.reserve(codes.len());
-        let rest_bits = 2 * (self.config.k - self.config.m);
+        out.reserve(n);
+        for &code in window.iter().take(2 * D) {
+            self.prefetch_mini(code);
+        }
+        for &code in window.iter().take(D) {
+            self.prefetch_bucket(code);
+        }
         for (i, &code) in codes.iter().enumerate() {
-            if let Some(&ahead) = codes.get(i + Self::LOOKUP_AHEAD) {
-                let mmer = (ahead >> rest_bits) as usize;
-                std::hint::black_box(self.mini_index[mmer]);
+            if let Some(&ahead) = window.get(i + 2 * D) {
+                self.prefetch_mini(ahead);
+            }
+            if let Some(&ahead) = window.get(i + D) {
+                self.prefetch_bucket(ahead);
             }
             out.push(self.lookup_code(code));
+        }
+    }
+
+    /// The mini-index slot of `code`'s m-mer prefix (unchecked against the
+    /// table size).
+    fn mmer_of(&self, code: u64) -> usize {
+        (code >> (2 * (self.config.k - self.config.m))) as usize
+    }
+
+    /// Pipeline stage 1: prefetch `code`'s mini-index line.
+    fn prefetch_mini(&self, code: u64) {
+        if let Some(slot) = self.mini_index.get(self.mmer_of(code)) {
+            casa_cam::kernel::prefetch(slot);
+        }
+    }
+
+    /// Pipeline stage 2: read `code`'s bucket bounds and prefetch the
+    /// bucket's first tag row and data row. Out-of-range codes are skipped.
+    fn prefetch_bucket(&self, code: u64) {
+        let mmer = self.mmer_of(code);
+        if let (Some(&lo), Some(&hi)) = (self.mini_index.get(mmer), self.mini_index.get(mmer + 1)) {
+            if lo < hi {
+                let lo = lo as usize;
+                if let Some(row) = self.tag.get(lo) {
+                    casa_cam::kernel::prefetch(row);
+                }
+                self.data.prefetch(lo);
+            }
         }
     }
 
@@ -476,6 +543,24 @@ mod tests {
         PackedSeq::from_ascii(s.as_bytes()).unwrap()
     }
 
+    /// The same filter on image-style shared storage (the mmap'd
+    /// [`IndicatorStore::Shared`] path).
+    fn shared_copy(filter: &PreSeedingFilter) -> PreSeedingFilter {
+        use casa_genome::SliceView;
+        use std::sync::Arc;
+        fn share<T: Copy + Send + Sync + 'static>(v: &[T]) -> SharedSlice<T> {
+            SharedSlice::new(Arc::new(v.to_vec()) as Arc<dyn SliceView<T>>)
+        }
+        PreSeedingFilter::from_shared_parts(
+            *filter.config(),
+            share(filter.mini_index()),
+            share(filter.tag()),
+            share(&filter.data_words()),
+            filter.partition_len(),
+        )
+        .expect("tables of a built filter are consistent")
+    }
+
     #[test]
     fn batched_lookup_matches_per_code_lookup_including_stats() {
         // The batched path must be observationally identical to per-code
@@ -483,8 +568,9 @@ mod tests {
         // deltas — the engine's modeled-activity figures depend on it.
         let part = generate_reference(&ReferenceProfile::human_like(), 3_000, 23);
         let cfg = FilterConfig::small(8, 4);
-        let mut serial = PreSeedingFilter::build(&part, cfg);
-        let mut batched = serial.clone();
+        let built = PreSeedingFilter::build(&part, cfg);
+        let shared = shared_copy(&built);
+        assert!(shared.tables_shared());
 
         // Mix of present codes, absent codes, and repeats.
         let mut codes: Vec<u64> = part.kmers(cfg.k).map(|(_, c)| c).step_by(7).collect();
@@ -494,25 +580,54 @@ mod tests {
             codes.push(rng.gen_range(0..(1u64 << (2 * cfg.k))));
         }
         codes.extend_from_slice(&codes.clone()[..16]);
+        let d = PreSeedingFilter::LOOKUP_AHEAD;
 
-        let per_code: Vec<SearchIndicator> = codes.iter().map(|&c| serial.lookup_code(c)).collect();
-        let mut out = vec![SearchIndicator::EMPTY; 3]; // stale garbage: must be cleared
-        batched.lookup_codes_into(&codes, &mut out);
+        for filter in [built, shared] {
+            let mut serial = filter.clone();
+            let mut batched = filter;
 
-        assert_eq!(out, per_code);
-        assert_eq!(batched.stats(), serial.stats());
+            let per_code: Vec<SearchIndicator> =
+                codes.iter().map(|&c| serial.lookup_code(c)).collect();
+            let mut out = vec![SearchIndicator::EMPTY; 3]; // stale garbage: must be cleared
+            batched.lookup_codes_into(&codes, &mut out);
+            assert_eq!(out, per_code);
+            assert_eq!(batched.stats(), serial.stats());
 
-        // Repeat on the same filter: stats keep accumulating identically.
-        let per_code2: Vec<SearchIndicator> =
-            codes.iter().map(|&c| serial.lookup_code(c)).collect();
-        batched.lookup_codes_into(&codes, &mut out);
-        assert_eq!(out, per_code2);
-        assert_eq!(batched.stats(), serial.stats());
+            // Repeat on the same filter: stats keep accumulating identically.
+            let per_code2: Vec<SearchIndicator> =
+                codes.iter().map(|&c| serial.lookup_code(c)).collect();
+            batched.lookup_codes_into(&codes, &mut out);
+            assert_eq!(out, per_code2);
+            assert_eq!(batched.stats(), serial.stats());
 
-        // Empty batch clears the output and changes nothing.
-        batched.lookup_codes_into(&[], &mut out);
-        assert!(out.is_empty());
-        assert_eq!(batched.stats(), serial.stats());
+            // Empty batch clears the output and changes nothing.
+            batched.lookup_codes_into(&[], &mut out);
+            assert!(out.is_empty());
+            assert_eq!(batched.stats(), serial.stats());
+
+            // Windows: only `window[..n]` is looked up and counted, at
+            // every pipeline-edge size, whether the tail holds real codes
+            // or codes no k-mer can have (prefetching them must not panic).
+            let mut hostile = codes.clone();
+            for (i, c) in hostile.iter_mut().enumerate().skip(1).step_by(2) {
+                *c = [u64::MAX, 1 << 63, 1u64 << (2 * cfg.k)][i % 3];
+            }
+            for n in [0, 1, d - 1, d, 2 * d, codes.len()] {
+                let per_code: Vec<SearchIndicator> =
+                    codes[..n].iter().map(|&c| serial.lookup_code(c)).collect();
+                batched.lookup_window_into(&codes, n, &mut out);
+                assert_eq!(out, per_code, "n = {n}");
+                assert_eq!(batched.stats(), serial.stats(), "n = {n}");
+
+                let mut window = codes[..n].to_vec();
+                window.extend_from_slice(&hostile[n..]);
+                let per_code: Vec<SearchIndicator> =
+                    codes[..n].iter().map(|&c| serial.lookup_code(c)).collect();
+                batched.lookup_window_into(&window, n, &mut out);
+                assert_eq!(out, per_code, "hostile tail, n = {n}");
+                assert_eq!(batched.stats(), serial.stats(), "hostile tail, n = {n}");
+            }
+        }
     }
 
     #[test]

@@ -177,6 +177,26 @@ impl IndicatorStore {
         }
     }
 
+    /// Prefetches the cache line holding record `row` (see
+    /// [`casa_cam::kernel::prefetch`]); rows out of range are ignored, so
+    /// speculative callers need no bounds check of their own.
+    pub(crate) fn prefetch(&self, row: usize) {
+        match self {
+            IndicatorStore::Owned(v) => {
+                if let Some(si) = v.get(row) {
+                    casa_cam::kernel::prefetch(si);
+                }
+            }
+            IndicatorStore::Shared(s) => {
+                // A record's two words are 16-byte aligned pairs, so the
+                // first word's line holds the whole record.
+                if let Some(word) = row.checked_mul(2).and_then(|i| s.as_slice().get(i)) {
+                    casa_cam::kernel::prefetch(word);
+                }
+            }
+        }
+    }
+
     /// Encodes the records as wire words (two `u64` per record), the form
     /// the image writer persists.
     pub fn to_words(&self) -> Vec<u64> {

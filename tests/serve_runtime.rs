@@ -344,6 +344,44 @@ fn oversized_requests_are_rejected_without_buffering() {
     assert!(server.shutdown().clean());
 }
 
+/// A seeder sized for 30 bp reads cannot seed a 101 bp read across a
+/// partition cut whole: the request is refused with a 400 naming the read
+/// and both lengths instead of answered with split SMEMs.
+#[test]
+fn reads_longer_than_the_partition_overlap_are_rejected() {
+    let reference = generate_reference(&ReferenceProfile::uniform(), 30_000, 13);
+    let seeder = Seeder::builder(&reference)
+        .partition_len(10_000)
+        .read_len(30)
+        .workers(1)
+        .build()
+        .expect("valid seeder");
+    let server = Server::start(seeder, ServeConfig::default()).expect("server starts");
+    let addr = server.local_addr();
+    let short = reference.subseq(500, 30);
+    let straddler = reference.subseq(9_950, 101);
+
+    let resp = request(
+        addr,
+        "POST",
+        "/seed",
+        &[],
+        body_for(&[short.clone(), straddler]).as_bytes(),
+    )
+    .unwrap();
+    assert_eq!(resp.status, 400);
+    let text = String::from_utf8(resp.body).unwrap();
+    assert!(
+        text.contains("read 1 is 101 bp") && text.contains("30 bp"),
+        "{text}"
+    );
+
+    let resp = request(addr, "POST", "/seed", &[], body_for(&[short]).as_bytes()).unwrap();
+    assert_eq!(resp.status, 200);
+    assert_eq!(String::from_utf8(resp.body).unwrap(), "0\t0\t30\t500\n");
+    assert!(server.shutdown().clean());
+}
+
 #[test]
 fn quarantined_partitions_serve_degraded_but_bit_identical_responses() {
     let (reference, reads) = workload(16);
