@@ -67,43 +67,22 @@ fn bench(c: &mut Criterion) {
         b.iter(|| cam.search(&q, &mask).len())
     });
 
-    // Bit-parallel match-line kernel vs the scalar oracle on the same
-    // 1000-entry partition, a batch of real read prefixes per iteration.
-    // `cam_search_bitparallel_40k` is pinned to the single-`u64` backend
-    // so it stays the PR 3 baseline regardless of what the host CPU
-    // auto-detects; the per-backend and query-blocked rows follow.
+    // Bit-parallel match-line kernels vs the scalar oracle on the same
+    // 1000-entry partition, a batch of real read prefixes per iteration:
+    // per supported word backend, per query and query-blocked.
     let cam_queries: Vec<_> = reads
         .iter()
         .map(|r| CamQuery::padded(r, 0, 19, 3))
         .collect();
     let full = EntryMask::all(entries);
     group.throughput(Throughput::Elements(cam_queries.len() as u64));
-    cam.set_kernel_backend(KernelBackend::Scalar);
-    group.bench_function("cam_search_bitparallel_40k", |b| {
-        let mut hits = Vec::new();
+    group.bench_function("cam_search_scalar_oracle_40k", |b| {
         b.iter(|| {
             cam_queries
                 .iter()
-                .map(|q| {
-                    cam.search_into(q, &full, &mut hits);
-                    hits.len()
-                })
+                .map(|q| cam.search_scalar(q, &full).len())
                 .sum::<usize>()
         })
-    });
-    group.bench_function("cam_search_scalar_oracle_40k", |b| {
-        cam.set_scalar_search(true);
-        let mut hits = Vec::new();
-        b.iter(|| {
-            cam_queries
-                .iter()
-                .map(|q| {
-                    cam.search_into(q, &full, &mut hits);
-                    hits.len()
-                })
-                .sum::<usize>()
-        });
-        cam.set_scalar_search(false);
     });
     for backend in KernelBackend::supported() {
         cam.set_kernel_backend(backend);

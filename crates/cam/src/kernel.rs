@@ -6,130 +6,64 @@
 //! * the indicator word-OR that builds enable masks (`dst |= group`),
 //!
 //! and both are embarrassingly data-parallel across words. This module
-//! provides three interchangeable backends for them:
+//! provides two interchangeable backends for them:
 //!
-//! * [`KernelBackend::Scalar`] — the plain one-`u64`-at-a-time loop
-//!   (the PR 3 kernel, kept as the portable baseline);
 //! * [`KernelBackend::U64x4`] — a portable 4×`u64` unrolled loop that
 //!   autovectorizes well and has no platform requirements;
 //! * [`KernelBackend::Avx2`] — 256-bit `std::arch` intrinsics behind
 //!   runtime feature detection (x86_64 only).
 //!
-//! Dispatch is memchr-style: the CPU is probed once per process and the
-//! winning backend is latched into a function table ([`KernelOps`]);
-//! every [`crate::Bcam`] constructed afterwards starts from that default.
-//! The `CASA_KERNEL` environment variable (`scalar` | `u64x4` | `avx2`)
-//! overrides the choice for testing; unknown or unsupported values are
-//! surfaced as a typed [`UnknownKernelError`] by [`backend_from_env`] so
-//! callers can turn them into their own error types instead of panicking.
+//! Dispatch is memchr-style and detection-only: the CPU is probed once per
+//! process ([`detect`]) and the winning backend is latched
+//! ([`default_backend`]); every [`crate::Bcam`] constructed afterwards
+//! starts from it. Nothing above the CAM chooses a kernel. The one-word
+//! scalar loops survive only as the reference the test module checks both
+//! backends against.
 
 use std::fmt;
 use std::sync::OnceLock;
 
 use crate::Symbol;
 
-/// Environment variable that overrides the kernel backend selection.
-pub const KERNEL_ENV: &str = "CASA_KERNEL";
-
-/// A selectable implementation of the word-level CAM kernels.
+/// An implementation of the word-level CAM kernels.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum KernelBackend {
-    /// One `u64` word at a time (the PR 3 bit-parallel kernel).
-    Scalar,
     /// Portable 4×`u64` unrolled loop; supported everywhere.
     U64x4,
     /// 256-bit AVX2 intrinsics; x86_64 with runtime `avx2` support only.
     Avx2,
 }
 
-/// Error returned when a kernel backend name cannot be honoured, either
-/// because it is unknown or because the CPU does not support it.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct UnknownKernelError {
-    /// The offending backend name as given.
-    pub value: String,
-    /// Why it was rejected.
-    pub reason: &'static str,
-}
-
-impl fmt::Display for UnknownKernelError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unknown CAM kernel backend {:?}: {} (expected one of: scalar, u64x4, avx2)",
-            self.value, self.reason
-        )
-    }
-}
-
-impl std::error::Error for UnknownKernelError {}
-
 impl KernelBackend {
-    /// Every backend, supported or not, in preference order.
-    pub const ALL: [KernelBackend; 3] = [
-        KernelBackend::Scalar,
-        KernelBackend::U64x4,
-        KernelBackend::Avx2,
-    ];
-
-    /// The backend's canonical lowercase name (what `CASA_KERNEL` accepts).
+    /// The backend's canonical lowercase name.
     pub fn as_str(self) -> &'static str {
         match self {
-            KernelBackend::Scalar => "scalar",
             KernelBackend::U64x4 => "u64x4",
             KernelBackend::Avx2 => "avx2",
-        }
-    }
-
-    /// Parses a backend name. Does not check CPU support; see
-    /// [`KernelBackend::ensure_supported`].
-    pub fn parse(s: &str) -> Result<KernelBackend, UnknownKernelError> {
-        match s {
-            "scalar" => Ok(KernelBackend::Scalar),
-            "u64x4" => Ok(KernelBackend::U64x4),
-            "avx2" => Ok(KernelBackend::Avx2),
-            _ => Err(UnknownKernelError {
-                value: s.to_owned(),
-                reason: "no such backend",
-            }),
         }
     }
 
     /// Whether this backend can run on the current CPU.
     pub fn is_supported(self) -> bool {
         match self {
-            KernelBackend::Scalar | KernelBackend::U64x4 => true,
+            KernelBackend::U64x4 => true,
             KernelBackend::Avx2 => avx2_supported(),
         }
     }
 
-    /// Returns `self` if the current CPU supports it, a typed error otherwise.
-    pub fn ensure_supported(self) -> Result<KernelBackend, UnknownKernelError> {
-        if self.is_supported() {
-            Ok(self)
-        } else {
-            Err(UnknownKernelError {
-                value: self.as_str().to_owned(),
-                reason: "not supported by this CPU",
-            })
-        }
-    }
-
-    /// All backends the current CPU supports, in preference order.
+    /// All backends the current CPU supports, portable first.
     pub fn supported() -> impl Iterator<Item = KernelBackend> {
-        Self::ALL.into_iter().filter(|b| b.is_supported())
+        [KernelBackend::U64x4, KernelBackend::Avx2]
+            .into_iter()
+            .filter(|b| b.is_supported())
     }
 
     /// The function table for this backend.
     ///
     /// The table for an unsupported backend would execute illegal
-    /// instructions, so this falls back to [`detect`] in that case;
-    /// layers that must reject unsupported requests instead of silently
-    /// degrading (engine construction, the CLI) call
-    /// [`KernelBackend::ensure_supported`] first.
+    /// instructions, so this falls back to [`detect`] in that case.
     pub fn ops(self) -> &'static KernelOps {
         match self {
-            KernelBackend::Scalar => &SCALAR_OPS,
             KernelBackend::U64x4 => &U64X4_OPS,
             KernelBackend::Avx2 => {
                 if avx2_supported() {
@@ -221,13 +155,6 @@ impl fmt::Debug for KernelOps {
     }
 }
 
-static SCALAR_OPS: KernelOps = KernelOps {
-    backend: KernelBackend::Scalar,
-    and_plane: and_plane_scalar,
-    or_into: or_into_scalar,
-    match_cols: match_cols_scalar,
-};
-
 static U64X4_OPS: KernelOps = KernelOps {
     backend: KernelBackend::U64x4,
     and_plane: and_plane_u64x4,
@@ -254,7 +181,7 @@ static AVX2_OPS: KernelOps = KernelOps {
     match_cols: match_cols_u64x4,
 };
 
-/// The best backend the current CPU supports, ignoring `CASA_KERNEL`.
+/// The best backend the current CPU supports.
 pub fn detect() -> KernelBackend {
     if avx2_supported() {
         KernelBackend::Avx2
@@ -274,24 +201,11 @@ fn avx2_supported() -> bool {
     }
 }
 
-/// Reads `CASA_KERNEL`: `Ok(None)` if unset or empty, `Ok(Some(b))` for a
-/// known, CPU-supported backend, and a typed error otherwise.
-pub fn backend_from_env() -> Result<Option<KernelBackend>, UnknownKernelError> {
-    match std::env::var(KERNEL_ENV) {
-        Ok(v) if v.is_empty() => Ok(None),
-        Ok(v) => KernelBackend::parse(&v)?.ensure_supported().map(Some),
-        Err(_) => Ok(None),
-    }
-}
-
-/// The process-wide default backend: a valid `CASA_KERNEL` override if one
-/// is set, otherwise [`detect`]. Probed once and latched (memchr-style);
-/// an *invalid* `CASA_KERNEL` value is ignored here — construction paths
-/// that must fail loudly call [`backend_from_env`] themselves and convert
-/// the error.
+/// The process-wide backend: [`detect`], probed once and latched
+/// (memchr-style).
 pub fn default_backend() -> KernelBackend {
     static DEFAULT: OnceLock<KernelBackend> = OnceLock::new();
-    *DEFAULT.get_or_init(|| backend_from_env().ok().flatten().unwrap_or_else(detect))
+    *DEFAULT.get_or_init(detect)
 }
 
 /// Hints the CPU to start pulling the cache line holding `value` into L1
@@ -316,21 +230,6 @@ pub fn prefetch<T>(value: &T) {
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = value;
-}
-
-fn and_plane_scalar(dst: &mut [u64], src: &[u64]) -> u64 {
-    let mut any = 0u64;
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d &= s;
-        any |= *d;
-    }
-    any
-}
-
-fn or_into_scalar(dst: &mut [u64], src: &[u64]) {
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d |= s;
-    }
 }
 
 fn and_plane_u64x4(dst: &mut [u64], src: &[u64]) -> u64 {
@@ -364,35 +263,6 @@ fn first_driven(syms: &[Symbol]) -> Option<(usize, usize)> {
         Symbol::Base(b) => Some((col, col * 4 + b.code() as usize)),
         Symbol::Any => None,
     })
-}
-
-fn match_cols_scalar(
-    ml: &mut [u64],
-    init: &[u64],
-    planes: &[u64],
-    ewords: usize,
-    syms: &[Symbol],
-) -> u64 {
-    let n = ml.len();
-    let Some((first_col, first_id)) = first_driven(syms) else {
-        ml.copy_from_slice(&init[..n]);
-        return ml.iter().fold(0, |acc, &w| acc | w);
-    };
-    // First driven column fused with the init copy: ml = init & plane.
-    let plane = &planes[first_id * ewords..][..n];
-    let mut any = 0u64;
-    for ((d, &a), &p) in ml.iter_mut().zip(init).zip(plane) {
-        *d = a & p;
-        any |= *d;
-    }
-    for (col, s) in syms.iter().enumerate().skip(first_col + 1) {
-        if any == 0 {
-            return 0;
-        }
-        let Symbol::Base(b) = s else { continue };
-        any = and_plane_scalar(ml, &planes[(col * 4 + b.code() as usize) * ewords..][..n]);
-    }
-    any
 }
 
 fn match_cols_u64x4(
@@ -653,6 +523,23 @@ mod avx2 {
 mod tests {
     use super::*;
 
+    /// Reference one-word-at-a-time AND-reduction both backends must equal.
+    fn and_plane_scalar(dst: &mut [u64], src: &[u64]) -> u64 {
+        let mut any = 0u64;
+        for (d, &s) in dst.iter_mut().zip(src) {
+            *d &= s;
+            any |= *d;
+        }
+        any
+    }
+
+    /// Reference one-word-at-a-time OR both backends must equal.
+    fn or_into_scalar(dst: &mut [u64], src: &[u64]) {
+        for (d, &s) in dst.iter_mut().zip(src) {
+            *d |= s;
+        }
+    }
+
     fn words(n: usize, seed: u64) -> Vec<u64> {
         // Small deterministic xorshift fill; no external RNG needed here.
         let mut s = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
@@ -667,20 +554,12 @@ mod tests {
     }
 
     #[test]
-    fn parse_roundtrip_and_unknown() {
-        for b in KernelBackend::ALL {
-            assert_eq!(KernelBackend::parse(b.as_str()), Ok(b));
-        }
-        let err = KernelBackend::parse("sse9").unwrap_err();
-        assert_eq!(err.value, "sse9");
-        assert!(err.to_string().contains("sse9"));
-    }
-
-    #[test]
     fn scalar_backends_always_supported() {
-        assert!(KernelBackend::Scalar.is_supported());
         assert!(KernelBackend::U64x4.is_supported());
-        assert!(KernelBackend::supported().count() >= 2);
+        assert_eq!(
+            KernelBackend::supported().next(),
+            Some(KernelBackend::U64x4)
+        );
     }
 
     #[test]
@@ -790,16 +669,5 @@ mod tests {
             assert_eq!(any, 0, "{b}");
             assert_eq!(dst, vec![0, 0, 0], "{b}");
         }
-    }
-
-    #[test]
-    fn unsupported_request_is_typed_error() {
-        let err = UnknownKernelError {
-            value: "avx2".into(),
-            reason: "not supported by this CPU",
-        };
-        assert!(err.to_string().contains("avx2"));
-        // ensure_supported never panics, even for Avx2 on any host.
-        let _ = KernelBackend::Avx2.ensure_supported();
     }
 }

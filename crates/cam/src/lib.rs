@@ -40,5 +40,5 @@ pub use bcam::{
     Bcam, CamFaultModel, CamFaultReport, CamQuery, CamStats, GroupScheme, Symbol, MAX_BATCH,
     ROWS_PER_ARRAY,
 };
-pub use kernel::{KernelBackend, UnknownKernelError, KERNEL_ENV};
+pub use kernel::KernelBackend;
 pub use mask::EntryMask;

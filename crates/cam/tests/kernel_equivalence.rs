@@ -1,11 +1,19 @@
 //! Property tests pinning the bit-parallel search kernel to the scalar
-//! entry-at-a-time oracle: identical hits **and** identical [`CamStats`]
-//! over random CAMs, padded/wildcard queries, partial masks (shorter,
-//! equal, and longer than the entry count), and injected faults — for
-//! every supported word-kernel backend (scalar `u64`, `u64x4`, AVX2) and
-//! for the query-blocked batch path at every block size `1..=MAX_BATCH`.
+//! entry-at-a-time oracle ([`Bcam::search_scalar`]): identical hits
+//! **and** identical [`CamStats`] over random CAMs, padded/wildcard
+//! queries, partial masks (shorter, equal, and longer than the entry
+//! count), and injected faults — for every supported word-kernel backend
+//! (`u64x4`, AVX2), for the query-blocked batch path at every block size
+//! `1..=MAX_BATCH`, and for CAMs reassembled from shared planes (the
+//! layout a mapped index image loads). These are the only tests that
+//! switch kernels: every layer above the CAM runs the detected one.
+//!
+//! [`CamStats`]: casa_cam::CamStats
+
+use std::sync::Arc;
 
 use casa_cam::{Bcam, CamFaultModel, CamQuery, EntryMask, KernelBackend, Symbol, MAX_BATCH};
+use casa_genome::shared::{SharedSlice, SliceView};
 use casa_genome::{Base, PackedSeq};
 use proptest::prelude::*;
 
@@ -152,22 +160,63 @@ proptest! {
     }
 
     #[test]
-    fn scalar_dispatch_toggle_matches_kernel(
-        (seq_codes, entry_bases, codes, pad) in (
-            prop::collection::vec(0u8..4, 1..400),
-            1usize..50,
-            prop::collection::vec(0u8..5, 0..60),
-            0usize..4,
+    fn shared_plane_cam_equals_oracle_under_every_kernel(
+        (seq_codes, entry_bases, fault) in (
+            prop::collection::vec(0u8..4, 1..900),
+            1usize..60,
+            (0u64..1000, 0u8..3),
+        ),
+        (queries, stored, mask_bits, mask_len) in (
+            prop::collection::vec((prop::collection::vec(0u8..5, 0..70), 0usize..4), 1..6),
+            prop::collection::vec(0usize..1_000_000, 1..4),
+            prop::collection::vec(0usize..1_000_000, 0..40),
+            0usize..1000,
         )
     ) {
         let seq = packed(&seq_codes);
-        let mut kernel = Bcam::new(&seq, entry_bases);
-        let mut toggled = kernel.clone();
-        toggled.set_scalar_search(true);
-        let q = query(&codes, pad);
-        let mask = EntryMask::all(kernel.entries());
-        prop_assert_eq!(kernel.search(&q, &mask), toggled.search(&q, &mask));
-        prop_assert_eq!(kernel.stats(), toggled.stats());
+        let planes: Arc<dyn SliceView<u64>> = Arc::new(Bcam::new(&seq, entry_bases).planes().to_vec());
+        let mut mapped = Bcam::from_shared_planes(&seq, entry_bases, SharedSlice::new(planes))
+            .expect("planes built for this sequence and stride");
+        prop_assert!(mapped.planes_shared());
+        // Stuck-at faults leave the planes shared; bit flips detach them
+        // (copy-on-write), as fault injection on a mapped image does.
+        let (seed, kind) = fault;
+        match kind {
+            0 => {}
+            1 => { mapped.inject_faults(&CamFaultModel { seed, stuck_rate: 0.15, flip_rate: 0.0 }); }
+            _ => { mapped.inject_faults(&CamFaultModel { seed, stuck_rate: 0.08, flip_rate: 0.03 }); }
+        }
+        let mask = if mask_len % 2 == 0 {
+            EntryMask::all(mapped.entries())
+        } else {
+            mask_from(&mask_bits, mask_len)
+        };
+        // Random queries rarely match, so add whole stored entries (as
+        // mapped, before any bit flip) to make hits the common case.
+        let mut queries: Vec<CamQuery> = queries.iter().map(|(c, p)| query(c, *p)).collect();
+        queries.extend(stored.iter().map(|&e| {
+            let from = e % mapped.entries() * entry_bases;
+            CamQuery::padded(&seq, from, entry_bases.min(seq.len() - from), 0)
+        }));
+
+        let mut scalar = mapped.clone();
+        let expected: Vec<Vec<u32>> =
+            queries.iter().map(|q| scalar.search_scalar(q, &mask)).collect();
+
+        let mut hits: Vec<Vec<u32>> = Vec::new();
+        for backend in KernelBackend::supported() {
+            let mut per_query = mapped.clone();
+            per_query.set_kernel_backend(backend);
+            let got: Vec<Vec<u32>> = queries.iter().map(|q| per_query.search(q, &mask)).collect();
+            prop_assert_eq!(&got, &expected, "{} per query", backend);
+            prop_assert_eq!(per_query.stats(), scalar.stats(), "{} per query", backend);
+
+            let mut batched = mapped.clone();
+            batched.set_kernel_backend(backend);
+            batched.search_batch_into(&queries, &mask, &mut hits);
+            prop_assert_eq!(&hits, &expected, "{} batched", backend);
+            prop_assert_eq!(batched.stats(), scalar.stats(), "{} batched", backend);
+        }
     }
 }
 

@@ -82,12 +82,15 @@ fn main() -> ExitCode {
     sigint::install(cancel.clone());
     match casa::cli::run_with_cancel(&options, &cancel) {
         Ok(summary) => {
+            let engine = match summary.kernel {
+                Some(kernel) => format!("{} backend, {kernel} kernel", summary.backend),
+                None => format!("{} backend", summary.backend),
+            };
             log_info!(
-                "{} reads, {} aligned, {} SMEMs ({} kernel)",
+                "{} reads, {} aligned, {} SMEMs ({engine})",
                 summary.reads,
                 summary.aligned,
-                summary.smems,
-                summary.kernel
+                summary.smems
             );
             // Build-vs-load is its own line: the whole point of
             // --index-image is collapsing this number.

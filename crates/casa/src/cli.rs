@@ -14,8 +14,8 @@ use std::time::Duration;
 
 use casa_align::aligner::{align_read, AlignConfig};
 use casa_core::{
-    BackendKind, CancelToken, CasaConfig, CheckpointError, FaultPlan, KernelBackend, LoadedIndex,
-    SeedingSession, StrandedRun, StreamBatch, StreamConfig, StreamError, StreamingSession,
+    BackendKind, CancelToken, CasaConfig, CheckpointError, FaultPlan, LoadedIndex, SeedingSession,
+    StrandedRun, StreamBatch, StreamConfig, StreamError, StreamingSession,
 };
 use casa_genome::fasta::{read_fasta_from_path, FastaError, NPolicy};
 use casa_genome::fastq::{FastqError, FastqRecord, FastqStream};
@@ -55,9 +55,6 @@ pub struct Options {
     pub checkpoint: Option<PathBuf>,
     /// Resume from the checkpoint instead of starting over (`--resume`).
     pub resume: bool,
-    /// CAM word kernel override (`--kernel`); `None` defers to the
-    /// `CASA_KERNEL` environment variable, then CPU detection.
-    pub kernel: Option<KernelBackend>,
     /// Seeding backend override (`--backend`); `None` defers to the
     /// `CASA_BACKEND` environment variable, then the CAM default.
     pub backend: Option<BackendKind>,
@@ -155,12 +152,11 @@ options:
   --resume             resume from --checkpoint, replaying only
                        unfinished batches (output stays byte-identical
                        to an uninterrupted run)
-  --kernel <backend>   CAM word kernel: scalar, u64x4, or avx2
-                       (default: $CASA_KERNEL, else CPU detection;
-                       all backends produce identical output)
   --backend <name>     seeding backend: cam, fm, or ert
                        (default: $CASA_BACKEND, else cam; every
-                       backend emits the identical SMEM stream)
+                       backend emits the identical SMEM stream; the
+                       cam backend's word kernel is CPU-detected, and
+                       --kernel is an unknown flag)
   --index-image <path> mmap a prebuilt index image (see `index build`)
                        instead of building the index; the image embeds
                        the accelerator config, so --partition is
@@ -199,7 +195,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Options, Cl
     let mut tile_deadline_ms = None;
     let mut checkpoint = None;
     let mut resume = false;
-    let mut kernel = None;
     let mut backend = None;
     let mut index_image = None;
     let mut it = args.into_iter();
@@ -256,20 +251,9 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Options, Cl
             }
             "--checkpoint" => checkpoint = Some(PathBuf::from(value("--checkpoint")?)),
             "--resume" => resume = true,
-            "--kernel" => {
-                // Unknown or unsupported backends surface as the typed
-                // config error, not a usage string, so scripts can match
-                // on them.
-                kernel = Some(
-                    KernelBackend::parse(&value("--kernel")?)
-                        .and_then(KernelBackend::ensure_supported)
-                        .map_err(casa_core::ConfigError::from)?,
-                );
-            }
             "--backend" => {
-                // Same contract as --kernel: unknown names are the typed
-                // config error. Every backend runs on every host, so
-                // there is no support check.
+                // Unknown names surface as the typed config error, not a
+                // usage string, so scripts can match on them.
                 backend = Some(
                     BackendKind::parse(&value("--backend")?)
                         .map_err(casa_core::ConfigError::from)?,
@@ -320,7 +304,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Options, Cl
         tile_deadline_ms,
         checkpoint,
         resume,
-        kernel,
         backend,
         index_image,
     })
@@ -353,10 +336,10 @@ pub struct RunSummary {
     pub stream_batches_skipped: u64,
     /// Whether the run stopped on a cancellation request (Ctrl-C).
     pub cancelled: bool,
-    /// The CAM word kernel the run was seeded with (`"scalar"`,
-    /// `"u64x4"`, or `"avx2"`; empty only in a default-constructed
-    /// summary).
-    pub kernel: &'static str,
+    /// The CAM word kernel the run executed (`"u64x4"` or `"avx2"`,
+    /// picked by CPU detection); `None` for the software backends, which
+    /// execute none, and in a default-constructed summary.
+    pub kernel: Option<&'static str>,
     /// The seeding backend the run used (`"cam"`, `"fm"`, or `"ert"`;
     /// empty only in a default-constructed summary).
     pub backend: &'static str,
@@ -413,6 +396,12 @@ fn resolve_plan(options: &Options) -> Option<FaultPlan> {
     }
 }
 
+/// The CAM word kernel a run on `backend` executes: the detected one for
+/// the CAM backend, none for the software backends.
+fn kernel_of(backend: BackendKind) -> Option<&'static str> {
+    (backend == BackendKind::Cam).then(|| casa_cam::kernel::default_backend().as_str())
+}
+
 /// Builds the seeding session either from the reference (index tables
 /// constructed in place) or zero-copy from a mapped `--index-image`,
 /// reporting which path ran and how long the index took to become ready
@@ -443,9 +432,6 @@ fn prepare_session(
     }
     if let Some(plan) = resolve_plan(options) {
         builder = builder.fault_plan(plan);
-    }
-    if let Some(kernel) = options.kernel {
-        builder = builder.kernel(kernel);
     }
     let session = builder.build()?.session().clone();
     match image {
@@ -617,7 +603,7 @@ fn run_batch(
             .check_read_len(name, seq.len())
             .map_err(CliError::Config)?;
     }
-    let kernel = session.kernel_backend().as_str();
+    let kernel = kernel_of(session.backend());
     let backend = session.backend().as_str();
     let stranded = session.seed_reads_both_strands(&seqs);
     let best = stranded.best_per_read();
@@ -710,7 +696,7 @@ fn run_streaming(
 
     let (session, index_source, index_ready_micros) =
         prepare_session(options, image, reference, read_len)?;
-    let kernel = session.kernel_backend().as_str();
+    let kernel = kernel_of(session.backend());
     let backend = session.backend().as_str();
     let stream = StreamingSession::new(
         session,
@@ -1021,6 +1007,7 @@ pub fn run_index<W: Write>(cmd: &IndexCommand, mut out: W) -> Result<(), CliErro
 #[cfg(test)]
 mod tests {
     use super::*;
+    use casa_cam::kernel;
     use casa_genome::fasta::{write_fasta, FastaRecord};
     use casa_genome::fastq::{write_fastq, FastqRecord};
     use casa_genome::synth::{generate_reference, ReferenceProfile};
@@ -1043,7 +1030,6 @@ mod tests {
             tile_deadline_ms: None,
             checkpoint: None,
             resume: false,
-            kernel: None,
             backend: None,
             index_image: None,
         }
@@ -1201,36 +1187,6 @@ mod tests {
         // Zero batch size.
         let err = with(&["--stream", "--sam", "o.sam", "--batch-reads", "0"]).unwrap_err();
         assert!(matches!(&err, CliError::Usage(msg) if msg.contains("positive")));
-    }
-
-    #[test]
-    fn parse_accepts_kernel_backend() {
-        let base = ["--reference", "r.fa", "--reads", "x.fq"].map(String::from);
-        let opts = parse_args(
-            base.iter()
-                .cloned()
-                .chain(["--kernel".to_string(), "u64x4".to_string()]),
-        )
-        .unwrap();
-        assert_eq!(opts.kernel, Some(KernelBackend::U64x4));
-        // Absent flag defers to the environment / CPU detection.
-        let opts = parse_args(base.clone()).unwrap();
-        assert_eq!(opts.kernel, None);
-    }
-
-    #[test]
-    fn parse_rejects_unknown_kernel_backend_typed() {
-        let err = parse_args(
-            ["--reference", "r.fa", "--reads", "x.fq", "--kernel", "sse9"].map(String::from),
-        )
-        .unwrap_err();
-        match &err {
-            CliError::Config(casa_core::Error::Config(
-                casa_core::ConfigError::UnknownKernelBackend { value, .. },
-            )) => assert_eq!(value, "sse9"),
-            other => panic!("expected typed kernel error, got {other:?}"),
-        }
-        assert!(err.to_string().contains("sse9"), "got {err}");
     }
 
     #[test]
@@ -1458,6 +1414,13 @@ mod tests {
             parse_args(["--reference".to_string()]),
             Err(CliError::Usage(_))
         ));
+        // The CAM word kernel is CPU-detected, never a flag.
+        assert!(matches!(
+            parse_args(
+                ["--reference", "r.fa", "--reads", "x.fq", "--kernel", "avx2"].map(String::from)
+            ),
+            Err(CliError::Usage(msg)) if msg.contains("--kernel")
+        ));
     }
 
     #[test]
@@ -1494,7 +1457,6 @@ mod tests {
             seeds_out: Some(seeds_path.clone()),
             partition_len: 8_000,
             threads: Some(2),
-            kernel: Some(KernelBackend::U64x4),
             ..base_options(ref_path, fq_path)
         };
         let summary = run(&options).unwrap();
@@ -1502,7 +1464,7 @@ mod tests {
         assert!(summary.aligned >= 28, "aligned {}", summary.aligned);
         assert!(summary.smems >= 30);
         if env_backend_is_cam() {
-            assert_eq!(summary.kernel, "u64x4");
+            assert_eq!(summary.kernel, Some(kernel::default_backend().as_str()));
             assert_eq!(summary.backend, "cam");
         }
 
@@ -1582,6 +1544,12 @@ mod tests {
             };
             let summary = run(&options).unwrap();
             assert_eq!(summary.backend, name);
+            // Only the CAM backend executes a word kernel.
+            let kernel = match kind {
+                BackendKind::Cam => Some(kernel::default_backend().as_str()),
+                BackendKind::Fm | BackendKind::Ert => None,
+            };
+            assert_eq!(summary.kernel, kernel, "{kind}");
             assert_eq!(summary.reads, 24);
             let sam = std::fs::read_to_string(dir.join(format!("{name}.sam"))).unwrap();
             let tsv = std::fs::read_to_string(dir.join(format!("{name}.tsv"))).unwrap();
@@ -1826,6 +1794,7 @@ mod tests {
         assert_eq!(stream_summary.reads, batch_summary.reads);
         assert_eq!(stream_summary.aligned, batch_summary.aligned);
         assert_eq!(stream_summary.smems, batch_summary.smems);
+        assert_eq!(stream_summary.kernel, batch_summary.kernel);
         assert_eq!(stream_summary.stream_batches, 4); // ceil(30 / 8)
         assert!(!stream_summary.cancelled);
         let batch_sam = std::fs::read_to_string(dir.join("batch.sam")).unwrap();

@@ -36,7 +36,7 @@
 //! the embeddable component — one stable API over the CAM, FM-index, and
 //! ERT backends, built from a reference or a mapped index image.
 //! [`core::SeedingSession`] is the runtime underneath it, for callers that
-//! need the full surface (explicit config, fault sites, kernel control).
+//! need the full surface (explicit config, fault sites, profiling).
 //!
 //! See the `examples/` directory at the workspace root for runnable
 //! programs (`quickstart`, `resequencing_pipeline`,

@@ -11,8 +11,9 @@
 //! `casa-serve` alike: paper-scale config derived from the reference (an
 //! image's embedded config is used verbatim), one worker per CPU, CAM
 //! backend unless `CASA_BACKEND` says otherwise, fault-free unless
-//! `CASA_FAULT_SEED` is armed, CAM word kernel from `CASA_KERNEL` or CPU
-//! detection.
+//! `CASA_FAULT_SEED` is armed. The CAM word kernel is not a knob:
+//! `casa-cam` picks it from CPU detection (`casa-seed --kernel` is an
+//! unknown flag, exit 2).
 //!
 //! ```
 //! use casa::Seeder;
@@ -55,7 +56,6 @@ pub struct SeederBuilder<'a> {
     workers: Option<usize>,
     backend: Option<BackendKind>,
     fault_plan: Option<FaultPlan>,
-    kernel: Option<casa_core::KernelBackend>,
     tile_deadline: Option<Duration>,
 }
 
@@ -78,7 +78,6 @@ impl<'a> SeederBuilder<'a> {
             workers: None,
             backend: None,
             fault_plan: None,
-            kernel: None,
             tile_deadline: None,
         }
     }
@@ -126,13 +125,6 @@ impl<'a> SeederBuilder<'a> {
         self
     }
 
-    /// Pins the CAM word kernel (default: `CASA_KERNEL`, else CPU
-    /// detection). No-op on the software backends.
-    pub fn kernel(mut self, kernel: casa_core::KernelBackend) -> Self {
-        self.kernel = Some(kernel);
-        self
-    }
-
     /// Watchdog deadline per tile attempt (default: none). Stalled
     /// attempts are retried, then quarantined — output never changes.
     pub fn tile_deadline(mut self, deadline: Duration) -> Self {
@@ -151,7 +143,7 @@ impl<'a> SeederBuilder<'a> {
     /// Any [`Error`] the underlying [`SeedingSession`] constructors
     /// report: an inconsistent config, an empty reference, zero workers,
     /// a bad fault plan, an image section the CAM backend cannot use, or
-    /// an unknown `CASA_BACKEND` / `CASA_KERNEL` value.
+    /// an unknown `CASA_BACKEND` value.
     pub fn build(self) -> Result<Seeder, Error> {
         let workers = self
             .workers
@@ -181,9 +173,6 @@ impl<'a> SeederBuilder<'a> {
             }
             Source::Image(index) => SeedingSession::from_image(index, workers, plan, backend)?,
         };
-        if let Some(kernel) = self.kernel {
-            session.set_kernel_backend(kernel);
-        }
         let session = session.with_tile_deadline(self.tile_deadline);
         Ok(Seeder { session })
     }
@@ -452,7 +441,6 @@ mod tests {
             .workers(3)
             .backend(BackendKind::Cam)
             .fault_plan(plan)
-            .kernel(casa_core::KernelBackend::Scalar)
             .tile_deadline(Duration::from_secs(30))
             .build()
             .unwrap();
@@ -460,7 +448,6 @@ mod tests {
         assert_eq!(session.workers(), 3);
         assert_eq!(session.backend(), BackendKind::Cam);
         assert_eq!(session.fault_plan(), &plan);
-        assert_eq!(session.kernel_backend(), casa_core::KernelBackend::Scalar);
         assert_eq!(session.tile_deadline(), Some(Duration::from_secs(30)));
         let fresh = Seeder::builder(&reference)
             .config(config)

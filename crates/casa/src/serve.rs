@@ -981,7 +981,6 @@ fn handle_reload(mut stream: TcpStream, head: RequestHead, shared: &Shared) {
         }
     };
     let session = session.with_tile_deadline(old.session.tile_deadline());
-    session.set_kernel_backend(old.session.kernel_backend());
     session.set_profiling(shared.config.profiling);
     let provenance = IndexProvenance::mapped(index.fingerprint(), path.clone());
     let generation = shared.install_generation(provenance, session);

@@ -39,9 +39,8 @@ pub struct CasaRun {
 ///
 /// # Errors
 ///
-/// [`Error::Config`] for an inconsistent configuration (or an unknown
-/// `CASA_KERNEL` value), [`Error::EmptyReference`] for an empty
-/// reference.
+/// [`Error::Config`] for an inconsistent configuration,
+/// [`Error::EmptyReference`] for an empty reference.
 pub fn seed_reads_serial(
     reference: &PackedSeq,
     config: CasaConfig,

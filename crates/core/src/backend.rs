@@ -208,9 +208,8 @@ impl TileKmerCodes {
 /// worker threads. Implementations report partition-**local** hit
 /// coordinates; the session translates and merges.
 ///
-/// The CAM-specific hooks (`inject_faults`, `set_scalar_search`,
-/// `set_kernel_backend`) default to no-ops so software backends do not
-/// have to know about CAM fault models or word kernels.
+/// The CAM-specific hook (`inject_faults`) defaults to a no-op so
+/// software backends do not have to know about CAM fault models.
 pub trait SeedingBackend: Send + Sync {
     /// Which substrate this is.
     fn kind(&self) -> BackendKind;
@@ -294,30 +293,11 @@ pub trait SeedingBackend: Send + Sync {
         )
     }
 
-    /// Routes CAM searches through the scalar oracle (`true`) or the
-    /// bit-parallel kernel (`false`). No-op on software backends.
-    fn set_scalar_search(&mut self, _scalar: bool) {}
-
-    /// Pins the CAM word kernel. No-op on software backends.
-    fn set_kernel_backend(&mut self, _backend: casa_cam::KernelBackend) {}
-
-    /// The effective CAM word kernel; software backends report the
-    /// process default (they never execute one).
-    fn kernel_backend(&self) -> casa_cam::KernelBackend {
-        casa_cam::kernel::default_backend()
-    }
-
     /// Enables per-stage wall-clock profiling (see
     /// [`crate::profile`]). Software backends are not instrumented and
     /// default to a no-op: their stage spans simply stay zero, which the
     /// profile layer treats as "not measured", not as "free".
     fn set_profiling(&mut self, _enabled: bool) {}
-
-    /// Switches between the batched pre-seeding lookup pass and the
-    /// per-pivot seed path (CAM engine only; outputs are bit-identical
-    /// either way). No-op on software backends, which have no filter
-    /// table.
-    fn set_batched_filter(&mut self, _batched: bool) {}
 
     /// Whether this backend's reference-side arrays are borrowed from a
     /// mapped index image (see [`crate::image`]) rather than owned heap
@@ -369,28 +349,12 @@ impl SeedingBackend for PartitionEngine {
         PartitionEngine::set_profiling(self, enabled);
     }
 
-    fn set_batched_filter(&mut self, batched: bool) {
-        PartitionEngine::set_batched_filter(self, batched);
-    }
-
     fn inject_faults(
         &mut self,
         cam: &casa_cam::CamFaultModel,
         filter: &casa_filter::FilterFaultModel,
     ) -> (casa_cam::CamFaultReport, casa_filter::FilterFaultReport) {
         PartitionEngine::inject_faults(self, cam, filter)
-    }
-
-    fn set_scalar_search(&mut self, scalar: bool) {
-        PartitionEngine::set_scalar_search(self, scalar);
-    }
-
-    fn set_kernel_backend(&mut self, backend: casa_cam::KernelBackend) {
-        PartitionEngine::set_kernel_backend(self, backend);
-    }
-
-    fn kernel_backend(&self) -> casa_cam::KernelBackend {
-        PartitionEngine::kernel_backend(self)
     }
 
     fn storage_shared(&self) -> bool {
@@ -537,8 +501,7 @@ impl SeedingBackend for ErtBackend {
 /// # Errors
 ///
 /// Returns the first violated configuration invariant (see
-/// [`CasaConfig::validated`]); for the CAM backend this includes a typed
-/// error for an invalid `CASA_KERNEL` request.
+/// [`CasaConfig::validated`]).
 pub fn build_backend(
     kind: BackendKind,
     partition: &PackedSeq,
@@ -692,8 +655,6 @@ mod tests {
         let config = CasaConfig::small(part.len());
         for kind in [BackendKind::Fm, BackendKind::Ert] {
             let mut backend = build_backend(kind, &part, config).expect("valid config");
-            backend.set_scalar_search(true);
-            backend.set_kernel_backend(casa_cam::KernelBackend::Scalar);
             let plan = crate::FaultPlan {
                 seed: 9,
                 cam_stuck_rate: 0.5,

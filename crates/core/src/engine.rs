@@ -1,7 +1,6 @@
 //! Per-partition seeding engine: Algorithm 1 (the filter-enabled SMEM
 //! computing algorithm) plus the exact-match pre-processing of §4.3.
 
-use casa_cam::KernelBackend;
 use casa_filter::{PreSeedingFilter, SearchIndicator};
 use casa_genome::PackedSeq;
 use casa_index::Smem;
@@ -62,18 +61,12 @@ pub struct PartitionEngine {
     /// Reusable per-pivot RMEM results of the current block.
     block_results: Vec<RmemResult>,
     /// Per-pivot indicators fetched by the batched filter pass (see
-    /// [`set_batched_filter`](Self::set_batched_filter)).
+    /// [`PreSeedingFilter::lookup_window_into`]).
     indicators: Vec<SearchIndicator>,
     /// Whether stage spans take wall-clock timestamps (see
     /// [`crate::profile`]). Off by default: timings are nondeterministic
     /// and excluded from the bit-identity contract.
     profiling: bool,
-    /// Whether pivot lookups go through the batched
-    /// [`lookup_codes_into`](PreSeedingFilter::lookup_codes_into) pass
-    /// (default) or the per-pivot seed path. Outputs and stats are
-    /// bit-identical either way; the switch exists so `stage_profile` can
-    /// measure before/after.
-    batched_filter: bool,
 }
 
 impl PartitionEngine {
@@ -86,53 +79,39 @@ impl PartitionEngine {
     /// [`CasaConfig::validated`]).
     pub fn new(partition: &PackedSeq, config: CasaConfig) -> Result<PartitionEngine, ConfigError> {
         let config = config.validated()?;
-        // An invalid `CASA_KERNEL` must surface as a typed error, not a
-        // panic (and not be silently ignored).
-        let env_backend = casa_cam::kernel::backend_from_env()?;
-        let mut searcher = CamSearcher::new(partition, config.filter.stride, config.filter.groups);
-        if let Some(backend) = env_backend {
-            searcher.set_kernel_backend(backend);
-        }
         Ok(PartitionEngine {
             config,
             filter: PreSeedingFilter::build(partition, config.filter),
-            searcher,
+            searcher: CamSearcher::new(partition, config.filter.stride, config.filter.groups),
             kmer_codes: Vec::new(),
             rmem_scratch: RmemResult::default(),
             pivot_block: Vec::new(),
             block_results: Vec::new(),
             indicators: Vec::new(),
             profiling: false,
-            batched_filter: true,
         })
     }
 
     /// Assembles an engine from a prebuilt filter and CAM — the zero-copy
     /// image-loading path. Behaves exactly like [`PartitionEngine::new`]
-    /// on the same partition and config (including `CASA_KERNEL` backend
-    /// selection), except that no tables are rebuilt.
+    /// on the same partition and config, except that no tables are
+    /// rebuilt.
     pub fn from_parts(
         filter: PreSeedingFilter,
         cam: casa_cam::Bcam,
         config: CasaConfig,
     ) -> Result<PartitionEngine, ConfigError> {
         let config = config.validated()?;
-        let env_backend = casa_cam::kernel::backend_from_env()?;
-        let mut searcher = CamSearcher::from_cam(cam, config.filter.groups);
-        if let Some(backend) = env_backend {
-            searcher.set_kernel_backend(backend);
-        }
         Ok(PartitionEngine {
             config,
             filter,
-            searcher,
+            searcher: CamSearcher::from_cam(cam, config.filter.groups),
             kmer_codes: Vec::new(),
             rmem_scratch: RmemResult::default(),
             pivot_block: Vec::new(),
             block_results: Vec::new(),
             indicators: Vec::new(),
             profiling: false,
-            batched_filter: true,
         })
     }
 
@@ -147,36 +126,6 @@ impl PartitionEngine {
     /// Whether per-stage profiling is enabled.
     pub fn profiling(&self) -> bool {
         self.profiling
-    }
-
-    /// Switches between the batched pre-seeding lookup pass (default) and
-    /// the per-pivot seed path. Bit-identical outputs and stats either
-    /// way; the `stage_profile` experiment flips this to measure the
-    /// before/after of the batching optimization.
-    pub fn set_batched_filter(&mut self, batched: bool) {
-        self.batched_filter = batched;
-    }
-
-    /// Switches the computing CAM between the bit-parallel kernel
-    /// (default) and the scalar oracle (see [`casa_cam::Bcam::search_scalar`]);
-    /// hits and stats are bit-identical either way. Regression tests use
-    /// this to run the oracle through the full seeding pipeline.
-    pub fn set_scalar_search(&mut self, scalar: bool) {
-        self.searcher.set_scalar_search(scalar);
-    }
-
-    /// Selects the word-level kernel backend of this engine's computing
-    /// CAM (see [`casa_cam::KernelBackend`]); hits and stats are
-    /// bit-identical across backends. Unsupported requests degrade to the
-    /// best supported backend; the CLI and env paths validate support
-    /// before calling this.
-    pub fn set_kernel_backend(&mut self, backend: KernelBackend) {
-        self.searcher.set_kernel_backend(backend);
-    }
-
-    /// The computing CAM's effective kernel backend.
-    pub fn kernel_backend(&self) -> KernelBackend {
-        self.searcher.kernel_backend()
     }
 
     /// The engine's configuration.
@@ -348,12 +297,10 @@ impl PartitionEngine {
         }
 
         // Batched pre-seeding: fetch every pivot's indicator in one
-        // memory-level-parallel pass before the pivot loop starts. Same
-        // lookup multiset — and therefore the same FilterStats — as the
-        // per-pivot path, which looks every pivot's k-mer up at the top
-        // of its iteration anyway.
-        let batched = self.config.use_filter_table && self.batched_filter;
-        if batched {
+        // memory-level-parallel pass before the pivot loop starts. Every
+        // pivot's k-mer is looked up exactly once, as the paper's
+        // pre-seeding stage does before the computing stage sees it.
+        if self.config.use_filter_table {
             let t = StageTimer::start(self.profiling);
             self.filter
                 .lookup_window_into(window, n, &mut self.indicators);
@@ -387,14 +334,7 @@ impl PartitionEngine {
         stats.pivots_total += pivot_count as u64;
         for pivot in 0..pivot_count {
             let si = if self.config.use_filter_table {
-                let si = if batched {
-                    self.indicators[pivot]
-                } else {
-                    let t = StageTimer::start(self.profiling);
-                    let si = self.filter.lookup_code(codes[pivot]);
-                    t.stop(&mut stats.profile, Stage::FilterLookup);
-                    si
-                };
+                let si = self.indicators[pivot];
                 if si.is_empty() {
                     // Dies in the pre-seeding stage; the computing
                     // controller never sees this pivot.
@@ -423,9 +363,9 @@ impl PartitionEngine {
                     let crkm_si = match crkm {
                         Some((s, si)) if s == crkm_start => si,
                         _ => {
-                            // Deliberately a fresh lookup even in batched
-                            // mode: the seed path issues one here too, so
-                            // the FilterStats multisets stay identical.
+                            // Deliberately a fresh lookup, not a reuse of
+                            // the batched indicator: the CRkM check is its
+                            // own filter access in the published counts.
                             let t = StageTimer::start(self.profiling);
                             let si = self.filter.lookup_code(codes[crkm_start]);
                             t.stop(&mut stats.profile, Stage::FilterLookup);

@@ -56,15 +56,6 @@ pub enum ConfigError {
         /// Which bound was violated, in human-readable form.
         reason: &'static str,
     },
-    /// A CAM kernel backend request (the `CASA_KERNEL` environment
-    /// variable or the CLI `--kernel` flag) names an unknown backend or
-    /// one this host cannot execute.
-    UnknownKernelBackend {
-        /// The requested backend string, verbatim.
-        value: String,
-        /// Why it was rejected, in human-readable form.
-        reason: &'static str,
-    },
     /// A seeding backend request (the `CASA_BACKEND` environment variable
     /// or the CLI `--backend` flag) names an unknown backend.
     UnknownSeedingBackend {
@@ -97,13 +88,6 @@ impl fmt::Display for ConfigError {
             ConfigError::BadStreamConfig { reason } => {
                 write!(f, "invalid stream config: {reason}")
             }
-            ConfigError::UnknownKernelBackend { ref value, reason } => {
-                write!(
-                    f,
-                    "unknown CAM kernel backend {value:?}: {reason} \
-                     (expected one of: scalar, u64x4, avx2)"
-                )
-            }
             ConfigError::UnknownSeedingBackend { ref value, reason } => {
                 write!(
                     f,
@@ -116,15 +100,6 @@ impl fmt::Display for ConfigError {
 }
 
 impl std::error::Error for ConfigError {}
-
-impl From<casa_cam::UnknownKernelError> for ConfigError {
-    fn from(e: casa_cam::UnknownKernelError) -> ConfigError {
-        ConfigError::UnknownKernelBackend {
-            value: e.value,
-            reason: e.reason,
-        }
-    }
-}
 
 impl From<crate::backend::UnknownBackendError> for ConfigError {
     fn from(e: crate::backend::UnknownBackendError) -> ConfigError {

@@ -16,7 +16,7 @@
 //!
 //! The bit-identity contract: a session built from a mapped image
 //! produces byte-identical SMEMs, stats and SAM to one built from the
-//! reference, for every backend and kernel (asserted in
+//! reference, for every backend and worker count (asserted in
 //! `tests/index_image.rs`). The CAM backend is the zero-copy path; the
 //! FM/ERT software baselines rebuild their private structures from the
 //! image's reference text (their indexes are not imaged), which still

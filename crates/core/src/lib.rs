@@ -60,7 +60,6 @@ pub use backend::{
     BackendKind, ErtBackend, FmBackend, SeedingBackend, TileKmerCodes, UnknownBackendError,
     BACKEND_ENV,
 };
-pub use casa_cam::{KernelBackend, UnknownKernelError, KERNEL_ENV};
 pub use config::{CasaConfig, CasaConfigBuilder};
 pub use energy_model::CasaHardwareModel;
 pub use engine::PartitionEngine;

@@ -19,7 +19,7 @@
 //! a time — every chain issues exactly the search sequence the sequential
 //! code would, and the CAM books batched searches per query.
 
-use casa_cam::{Bcam, CamQuery, EntryMask, GroupScheme, KernelBackend};
+use casa_cam::{Bcam, CamQuery, EntryMask, GroupScheme};
 use casa_filter::SearchIndicator;
 use casa_genome::PackedSeq;
 
@@ -330,23 +330,6 @@ impl CamSearcher {
             group_masks,
             scratch: SearchScratch::default(),
         }
-    }
-
-    /// Switches the computing CAM between the bit-parallel kernel
-    /// (default) and the scalar oracle (see [`Bcam::set_scalar_search`]).
-    pub fn set_scalar_search(&mut self, scalar: bool) {
-        self.cam.set_scalar_search(scalar);
-    }
-
-    /// Selects the word-level kernel backend of the computing CAM (see
-    /// [`Bcam::set_kernel_backend`]).
-    pub fn set_kernel_backend(&mut self, backend: KernelBackend) {
-        self.cam.set_kernel_backend(backend);
-    }
-
-    /// The computing CAM's effective kernel backend.
-    pub fn kernel_backend(&self) -> KernelBackend {
-        self.cam.kernel_backend()
     }
 
     /// Sets the CAM's query-blocking factor (see [`Bcam::set_batch_block`]).

@@ -356,17 +356,6 @@ impl SeedingSession {
         self.profiling.load(Ordering::Relaxed)
     }
 
-    /// Routes every partition engine through the batched pre-seeding
-    /// lookup pass (`true`, the default) or the per-pivot seed path
-    /// (`false`). Outputs and stats are bit-identical either way; the
-    /// `stage_profile` experiment flips this to measure the before/after
-    /// of the batching optimization. No-op on the software backends.
-    pub fn set_batched_filter(&self, batched: bool) {
-        for engine in self.engines.iter() {
-            lock_recover(engine).set_batched_filter(batched);
-        }
-    }
-
     /// Sets (or clears) the watchdog deadline for tile attempts.
     ///
     /// With a deadline, every attempt runs on a supervised thread and is
@@ -473,40 +462,6 @@ impl SeedingSession {
     /// Worker threads used per batch.
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// Routes every partition engine's CAM searches through the scalar
-    /// reference kernel (`true`) or the bit-parallel kernel (`false`, the
-    /// default). Both produce identical SMEMs and statistics; the scalar
-    /// model is kept as the verification oracle and baseline for the
-    /// kernel harness. No-op on the software backends.
-    pub fn set_scalar_search(&self, scalar: bool) {
-        for engine in self.engines.iter() {
-            lock_recover(engine).set_scalar_search(scalar);
-        }
-    }
-
-    /// Pins every partition engine's CAM word kernel to `backend`,
-    /// overriding the process default (`CASA_KERNEL` or runtime CPU
-    /// detection). All backends produce identical SMEMs and statistics;
-    /// callers must reject unsupported backends first (see
-    /// [`casa_cam::KernelBackend::ensure_supported`]). No-op on the
-    /// software backends.
-    pub fn set_kernel_backend(&self, backend: casa_cam::KernelBackend) {
-        for engine in self.engines.iter() {
-            lock_recover(engine).set_kernel_backend(backend);
-        }
-    }
-
-    /// The CAM word kernel the partition engines are currently routed
-    /// through (every engine shares one backend); software backends
-    /// report the process default, which they never execute.
-    pub fn kernel_backend(&self) -> casa_cam::KernelBackend {
-        self.engines
-            .first()
-            .map_or_else(casa_cam::kernel::default_backend, |e| {
-                lock_recover(e).kernel_backend()
-            })
     }
 
     /// Read count per tile for a batch of `n` reads: enough tiles to keep

@@ -1,12 +1,14 @@
 //! Bit-identity and accounting contracts of the profiling layer: the
-//! profiled + batched-filter session path must produce byte-identical
-//! SMEMs and SAM records to the unprofiled per-pivot seed path across
-//! every backend, kernel, and worker count — and the per-stage spans it
-//! records must be disjoint (their sum bounded by the run's wall time).
+//! profiled session path must produce byte-identical SMEMs and SAM
+//! records to the unprofiled one-worker CAM session across every backend
+//! and worker count — and the per-stage spans it records must be
+//! disjoint (their sum bounded by the run's wall time). Every session
+//! runs the detected CAM word kernel; the kernels are checked against
+//! each other at the CAM level (`casa-cam`'s `kernel_equivalence` tests).
 
 use std::time::Instant;
 
-use casa_core::{BackendKind, CasaConfig, FaultPlan, KernelBackend, SeedingSession, Stage};
+use casa_core::{BackendKind, CasaConfig, FaultPlan, SeedingSession, Stage};
 use casa_genome::sam::{Cigar, CigarOp, SamFormatter, SamRecord};
 use casa_genome::{Base, PackedSeq};
 use casa_index::Smem;
@@ -95,9 +97,9 @@ fn sam_bytes(reads: &[PackedSeq], smems: &[Vec<Smem>]) -> Vec<u8> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The profiled + batched path is byte-identical to the unprofiled
-    /// per-pivot seed path — SMEMs and SAM — for every backend, every
-    /// supported kernel, and worker counts 1, 2, and 8.
+    /// The profiled path is byte-identical to the unprofiled one-worker
+    /// CAM session — SMEMs and SAM — for every backend and worker counts
+    /// 1, 2, and 8.
     #[test]
     fn profiled_path_is_bit_identical_across_backends_kernels_workers(
         ref_codes in prop::collection::vec(0u8..4, 200..900),
@@ -110,10 +112,10 @@ proptest! {
         let reads = reads_from(&reference, &specs);
         let config = CasaConfig::small((reference.len() / 3).max(64));
 
-        // Reference: the unprofiled seed path (per-pivot filter lookups)
-        // on the CAM backend, pinned explicitly so a CI `CASA_BACKEND`
-        // pin cannot change what the stats assertion below compares.
-        let seed_session = SeedingSession::with_backend(
+        // Reference: the unprofiled one-worker session on the CAM
+        // backend, pinned explicitly so a CI `CASA_BACKEND` pin cannot
+        // change what the stats assertion below compares.
+        let plain_session = SeedingSession::with_backend(
             &reference,
             config,
             1,
@@ -121,9 +123,8 @@ proptest! {
             BackendKind::Cam,
         )
         .expect("small config is valid");
-        seed_session.set_batched_filter(false);
-        let seed_run = seed_session.seed_reads(&reads);
-        let seed_sam = sam_bytes(&reads, &seed_run.smems);
+        let plain_run = plain_session.seed_reads(&reads);
+        let plain_sam = sam_bytes(&reads, &plain_run.smems);
 
         for backend in BackendKind::ALL {
             for workers in [1usize, 2, 8] {
@@ -136,41 +137,30 @@ proptest! {
                 )
                 .expect("small config is valid");
                 session.set_profiling(true);
-                let kernels: Vec<Option<KernelBackend>> = if backend == BackendKind::Cam {
-                    KernelBackend::supported().map(Some).collect()
-                } else {
-                    vec![None]
-                };
-                for kernel in kernels {
-                    if let Some(k) = kernel {
-                        session.set_kernel_backend(k);
-                    }
-                    let run = session.seed_reads(&reads);
+                let run = session.seed_reads(&reads);
+                prop_assert_eq!(
+                    &run.smems, &plain_run.smems,
+                    "{} workers={}: SMEMs diverged from the unprofiled session",
+                    backend, workers
+                );
+                prop_assert_eq!(
+                    &sam_bytes(&reads, &run.smems), &plain_sam,
+                    "{} workers={}: SAM bytes diverged",
+                    backend, workers
+                );
+                if backend == BackendKind::Cam {
+                    // Same engine model: every stat except the profile
+                    // must match the unprofiled session exactly.
+                    let mut stats = run.stats;
+                    stats.profile = Default::default();
                     prop_assert_eq!(
-                        &run.smems, &seed_run.smems,
-                        "{} workers={} kernel={:?}: SMEMs diverged from seed path",
-                        backend, workers, kernel
+                        stats, plain_run.stats,
+                        "workers={}: stats diverged", workers
                     );
-                    prop_assert_eq!(
-                        &sam_bytes(&reads, &run.smems), &seed_sam,
-                        "{} workers={} kernel={:?}: SAM bytes diverged",
-                        backend, workers, kernel
+                    prop_assert!(
+                        !run.stats.profile.is_empty(),
+                        "profiling enabled but no spans recorded"
                     );
-                    if backend == BackendKind::Cam {
-                        // Same engine model: every stat except the profile
-                        // must match the seed path exactly.
-                        let mut stats = run.stats;
-                        stats.profile = Default::default();
-                        prop_assert_eq!(
-                            stats, seed_run.stats,
-                            "workers={} kernel={:?}: stats diverged",
-                            workers, kernel
-                        );
-                        prop_assert!(
-                            !run.stats.profile.is_empty(),
-                            "profiling enabled but no spans recorded"
-                        );
-                    }
                 }
             }
         }

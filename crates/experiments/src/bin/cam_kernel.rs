@@ -10,14 +10,14 @@ fn main() {
     let best = report.best_batched();
     println!(
         "headline: {}/{} {:.1}x over per-query {} at {} entries; \
-         oracle->u64 {:.1}x; session best {:.2}x",
+         oracle->{} {:.1}x",
         best.workload,
         best.kernel,
         report.headline_speedup(),
         cam_kernel::BASELINE,
         report.entries,
+        cam_kernel::BASELINE,
         report.micro_speedup(),
-        report.session_speedup(),
     );
     if let Ok(path) = table.save_csv("cam_kernel") {
         println!("(csv written to {})", path.display());

@@ -1,5 +1,5 @@
-//! Stage-level pipeline profile: seed path vs the batched-filter /
-//! zero-copy path, per-stage. Usage: `stage_profile [small|medium|large]
+//! Stage-level pipeline profile: per-stage breakdown and unprofiled wall
+//! time of the seeding path. Usage: `stage_profile [small|medium|large]
 //! [--test]` (`--test` is the CI smoke mode: fewer samples, identical
 //! equality gates, identical artifacts).
 use casa_experiments::scenario::Scale;
@@ -22,17 +22,9 @@ fn main() {
     let table = stage_profile::table(&report);
     print!("{}", table.render());
     println!(
-        "headline: session/1 {:.3} ms -> {:.3} ms ({:.2}x); vs PR 5 baseline {:.2} ms: {:.2}x{}",
-        report.before_ms(),
-        report.after_ms(),
-        report.speedup(),
-        stage_profile::BASELINE_PR5_SESSION1_MS,
-        report.speedup_vs_pr5(),
-        if report.session1_workload {
-            ""
-        } else {
-            " (non-session/1 workload; PR 5 ratio not comparable)"
-        },
+        "headline: {} reads, one worker, {:.3} ms per batch (best of unprofiled runs)",
+        report.reads,
+        report.session_ms(),
     );
     if let Ok(path) = table.save_csv("stage_profile") {
         println!("(csv written to {})", path.display());

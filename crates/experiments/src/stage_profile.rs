@@ -1,9 +1,9 @@
 //! Stage-level pipeline profile: the per-stage wall-time breakdown of the
 //! `session/1` workload (50 human-like reads, one worker — the Fig. 12
-//! configuration every PR's BENCH record quotes) before and after the
-//! batched-filter/zero-copy-merge optimizations, with SMEM *and* SAM-byte
-//! equality asserted across both paths and all three backends before any
-//! timing. Written to `results/stage_profile.{csv,json}` and the
+//! configuration every BENCH record quotes) next to its unprofiled wall
+//! time, with SMEM, statistics *and* SAM-byte equality asserted between
+//! the profiled and unprofiled runs and across all three backends before
+//! any timing. Written to `results/stage_profile.{csv,json}` and the
 //! repo-root `BENCH_pipeline.json` by the `stage_profile` binary.
 
 use std::time::Instant;
@@ -14,42 +14,29 @@ use casa_genome::sam::{Cigar, CigarOp, SamFormatter, SamRecord};
 use casa_genome::PackedSeq;
 use casa_index::Smem;
 
-use crate::report::{percent, ratio, Table};
+use crate::report::{percent, Table};
 use crate::scenario::{Genome, Scale, Scenario};
 
-/// Interleaved timed sample pairs per measurement (best-of reported).
+/// Timed samples of the unprofiled batch (best-of reported).
 const SAMPLES: usize = 25;
 /// Profiled passes merged into each breakdown (shares, not absolute
 /// nanoseconds, are the payload — merging passes smooths clock noise).
 const PROFILE_PASSES: usize = 5;
-/// Reads in the session workload, matching the `cam_kernel` session rows
-/// and the cross-PR `session/1` baseline.
+/// Reads in the session workload (the `session/1` configuration).
 const SESSION_READS: usize = 50;
-/// The PR 5 `session/1` headline this PR's speedup gate is measured
-/// against (`BENCH_kernels.json`: 0.78 ms for 50 reads, one worker).
-pub const BASELINE_PR5_SESSION1_MS: f64 = 0.78;
 
-/// The harness output: matched before/after breakdowns plus headline
-/// timings for the same workload.
+/// The harness output: the per-stage breakdown and the unprofiled wall
+/// time of the same workload.
 #[derive(Clone, Debug)]
 pub struct StageProfileReport {
     /// Reads per batch.
     pub reads: usize,
-    /// Whether this run used the canonical `session/1` workload (small
-    /// scale), making [`BASELINE_PR5_SESSION1_MS`] directly comparable.
-    pub session1_workload: bool,
-    /// Per-stage breakdown of the seed path (per-pivot filter lookups,
-    /// profiling on), summed over `PROFILE_PASSES` passes.
-    pub before: StageProfile,
-    /// Per-stage breakdown of the optimized path (batched filter lookups,
-    /// zero-copy merge), summed over the same number of passes.
-    pub after: StageProfile,
-    /// Best wall time of one unprofiled seed-path batch over the
-    /// interleaved samples, nanoseconds.
-    pub before_best_ns: u128,
-    /// Best wall time of one unprofiled optimized batch over the same
-    /// interleaved samples, nanoseconds.
-    pub after_best_ns: u128,
+    /// Per-stage breakdown (profiling on), summed over `PROFILE_PASSES`
+    /// passes.
+    pub profile: StageProfile,
+    /// Best wall time of one unprofiled batch over the timed samples,
+    /// nanoseconds.
+    pub best_ns: u128,
     /// Total SMEMs in the (identical) outputs.
     pub smems: usize,
     /// Bytes of the (identical) rendered SAM bodies.
@@ -57,30 +44,9 @@ pub struct StageProfileReport {
 }
 
 impl StageProfileReport {
-    /// Best-of milliseconds of one seed-path batch.
-    pub fn before_ms(&self) -> f64 {
-        self.before_best_ns as f64 / 1e6
-    }
-
-    /// Best-of milliseconds of one optimized batch.
-    pub fn after_ms(&self) -> f64 {
-        self.after_best_ns as f64 / 1e6
-    }
-
-    /// Measured speedup of the optimized path over the seed path on the
-    /// identical workload (the PR's primary gate asks for >= 2x on
-    /// `session/1` versus the PR 5 baseline; this same-binary ratio is
-    /// the controlled companion number). Emitted as `speedup_vs_before`
-    /// in `BENCH_pipeline.json`, next to `speedup_vs_pr5`.
-    pub fn speedup(&self) -> f64 {
-        self.before_best_ns as f64 / self.after_best_ns as f64
-    }
-
-    /// Speedup of the optimized path over the recorded PR 5 `session/1`
-    /// baseline. Only meaningful when
-    /// [`session1_workload`](Self::session1_workload) is true.
-    pub fn speedup_vs_pr5(&self) -> f64 {
-        BASELINE_PR5_SESSION1_MS / self.after_ms()
+    /// Best-of milliseconds of one unprofiled batch.
+    pub fn session_ms(&self) -> f64 {
+        self.best_ns as f64 / 1e6
     }
 }
 
@@ -164,16 +130,16 @@ fn profiled_pass(
     profile
 }
 
-/// Runs the before/after profile at `scale`, asserting SMEM, stats, and
-/// SAM-byte equality across the seed path, the optimized path, and all
-/// three backends before any measurement.
+/// Runs the profile at `scale`, asserting SMEM, stats, and SAM-byte
+/// equality between the profiled and unprofiled runs and across all three
+/// backends before any measurement.
 ///
 /// # Panics
 ///
-/// Panics if the batched/profiled path diverges from the per-pivot seed
-/// path in any SMEM, modeled statistic, or rendered SAM byte, or if any
-/// backend disagrees with the CAM reference — the bit-identity contract
-/// this PR's optimizations must preserve.
+/// Panics if the profiled run diverges from the unprofiled one in any
+/// SMEM, modeled statistic, or rendered SAM byte, or if any backend
+/// disagrees with the CAM reference — the bit-identity contract profiling
+/// and the backends must preserve.
 pub fn run(scale: Scale) -> StageProfileReport {
     run_with(scale, false)
 }
@@ -189,37 +155,39 @@ pub fn run_with(scale: Scale, quick: bool) -> StageProfileReport {
     let session = SeedingSession::new(&scenario.reference, scenario.casa_config(), 1)
         .expect("scenario config is valid");
 
-    // Equality gates, all before any timing. Reference: the optimized
-    // (default) path, profiling off.
-    let run_after = session.seed_reads(reads);
-    session.set_batched_filter(false);
-    let run_before = session.seed_reads(reads);
-    assert_eq!(
-        run_before.smems, run_after.smems,
-        "batched filter lookups changed the SMEM output"
-    );
-    assert_eq!(
-        run_before.stats, run_after.stats,
-        "batched filter lookups changed the modeled statistics"
-    );
-    session.set_batched_filter(true);
+    // Equality gates, all before any timing. Reference: the default
+    // session, profiling off.
+    let reference = session.seed_reads(reads);
+    let mut formatter = SamFormatter::new();
+    let mut sam = |smems: &[Vec<Smem>]| {
+        let mut body = Vec::new();
+        formatter
+            .write_all(&mut body, &sam_records(reads, smems))
+            .expect("Vec sink cannot fail");
+        body
+    };
+    let sam_reference = sam(&reference.smems);
     session.set_profiling(true);
     let run_prof = session.seed_reads(reads);
     assert_eq!(
-        run_prof.smems, run_after.smems,
+        run_prof.smems, reference.smems,
         "profiling changed the SMEM output"
     );
     let mut stats_sans_profile = run_prof.stats;
     stats_sans_profile.profile = StageProfile::default();
     assert_eq!(
-        stats_sans_profile, run_after.stats,
+        stats_sans_profile, reference.stats,
         "profiling changed a modeled statistic"
     );
     assert!(
         !run_prof.stats.profile.is_empty(),
         "profiling was enabled but recorded nothing"
     );
-    session.set_profiling(false);
+    assert_eq!(
+        sam(&run_prof.smems),
+        sam_reference,
+        "profiling changed the rendered SAM bytes"
+    );
     for backend in [BackendKind::Fm, BackendKind::Ert] {
         let other = SeedingSession::with_backend(
             &scenario.reference,
@@ -231,96 +199,57 @@ pub fn run_with(scale: Scale, quick: bool) -> StageProfileReport {
         .expect("scenario config is valid");
         assert_eq!(
             other.seed_reads(reads).smems,
-            run_after.smems,
+            reference.smems,
             "{backend} SMEMs diverged from the CAM reference"
         );
     }
-    // SAM bytes: the optimized formatter on both paths' (identical)
-    // outputs must render the identical body.
-    let mut formatter = SamFormatter::new();
-    let mut sam_after = Vec::new();
-    formatter
-        .write_all(&mut sam_after, &sam_records(reads, &run_after.smems))
-        .expect("Vec sink cannot fail");
-    let mut sam_before = Vec::new();
-    formatter
-        .write_all(&mut sam_before, &sam_records(reads, &run_before.smems))
-        .expect("Vec sink cannot fail");
-    assert_eq!(sam_before, sam_after, "rendered SAM bytes diverged");
 
-    // Profiled breakdowns (shares), then unprofiled timings (headline).
-    session.set_profiling(true);
-    session.set_batched_filter(false);
-    let mut before = StageProfile::default();
+    // Profiled breakdown (shares), then unprofiled timing (headline).
+    let mut profile = StageProfile::default();
     for _ in 0..passes {
-        before.merge(&profiled_pass(&session, reads, &mut formatter));
-    }
-    session.set_batched_filter(true);
-    let mut after = StageProfile::default();
-    for _ in 0..passes {
-        after.merge(&profiled_pass(&session, reads, &mut formatter));
+        profile.merge(&profiled_pass(&session, reads, &mut formatter));
     }
     session.set_profiling(false);
 
-    // Headline timings: before/after passes interleaved pair by pair so
-    // both paths see the same machine conditions, best-of reported —
-    // external load on a shared core only ever *adds* time, so the
-    // minimum is the noise-robust estimator of each path's true cost.
-    let mut pass_before = || {
-        session.set_batched_filter(false);
+    // Best-of: external load on a shared core only ever *adds* time, so
+    // the minimum is the noise-robust estimator of the path's true cost.
+    let mut pass = || {
         session.seed_reads(reads);
     };
-    pass_before();
-    let mut pass_after = || {
-        session.set_batched_filter(true);
-        session.seed_reads(reads);
-    };
-    pass_after();
-    let (mut before_best_ns, mut after_best_ns) = (u128::MAX, u128::MAX);
-    for _ in 0..samples {
-        before_best_ns = before_best_ns.min(time_ns(&mut pass_before));
-        after_best_ns = after_best_ns.min(time_ns(&mut pass_after));
-    }
+    pass();
+    let best_ns = (0..samples)
+        .map(|_| time_ns(&mut pass))
+        .min()
+        .expect("at least one sample");
 
     StageProfileReport {
         reads: reads.len(),
-        session1_workload: scale == Scale::Small && reads.len() == SESSION_READS,
-        before,
-        after,
-        before_best_ns,
-        after_best_ns,
-        smems: run_after.smems.iter().map(Vec::len).sum(),
-        sam_bytes: sam_after.len(),
+        profile,
+        best_ns,
+        smems: reference.smems.iter().map(Vec::len).sum(),
+        sam_bytes: sam_reference.len(),
     }
 }
 
 /// Renders the report (saved as `results/stage_profile.{csv,json}`).
 pub fn table(report: &StageProfileReport) -> Table {
     let mut t = Table::new(
-        "Pipeline stage profile: seed path vs batched/zero-copy path",
-        &[
-            "stage",
-            "before_ns",
-            "before_share",
-            "after_ns",
-            "after_share",
-        ],
+        "Pipeline stage profile: per-stage breakdown of the seeding path",
+        &["stage", "ns", "calls", "share"],
     );
     for stage in Stage::ALL {
         t.row([
             stage.as_str().to_string(),
-            report.before.nanos(stage).to_string(),
-            percent(report.before.share(stage)),
-            report.after.nanos(stage).to_string(),
-            percent(report.after.share(stage)),
+            report.profile.nanos(stage).to_string(),
+            report.profile.calls(stage).to_string(),
+            percent(report.profile.share(stage)),
         ]);
     }
     t.row([
         "total".to_string(),
-        report.before.total_nanos().to_string(),
+        report.profile.total_nanos().to_string(),
         String::new(),
-        report.after.total_nanos().to_string(),
-        ratio(report.speedup()),
+        String::new(),
     ]);
     t
 }
@@ -333,12 +262,9 @@ pub fn bench_json(report: &StageProfileReport, scale: Scale) -> String {
         .map(|&stage| {
             serde_json::json!({
                 "stage": stage.as_str(),
-                "before_ns": report.before.nanos(stage),
-                "before_calls": report.before.calls(stage),
-                "before_share": report.before.share(stage),
-                "after_ns": report.after.nanos(stage),
-                "after_calls": report.after.calls(stage),
-                "after_share": report.after.share(stage),
+                "ns": report.profile.nanos(stage),
+                "calls": report.profile.calls(stage),
+                "share": report.profile.share(stage),
             })
         })
         .collect();
@@ -349,14 +275,7 @@ pub fn bench_json(report: &StageProfileReport, scale: Scale) -> String {
         "workers": 1u64,
         "smems": report.smems,
         "sam_bytes": report.sam_bytes,
-        "session1_workload": report.session1_workload,
-        "headline": {
-            "before_session_ms": report.before_ms(),
-            "after_session_ms": report.after_ms(),
-            "speedup_vs_before": report.speedup(),
-            "baseline_pr5_session1_ms": BASELINE_PR5_SESSION1_MS,
-            "speedup_vs_pr5": report.speedup_vs_pr5(),
-        },
+        "headline": { "session_ms": report.session_ms() },
         "stages": rows,
     });
     value.to_string() + "\n"
@@ -371,10 +290,9 @@ mod tests {
         let report = run_with(Scale::Small, true);
         // The equality asserts inside run() are the real payload.
         assert_eq!(report.reads, SESSION_READS);
-        assert!(report.session1_workload);
         assert!(report.smems > 0);
         assert!(report.sam_bytes > 0);
-        // Both breakdowns recorded engine-side and harness-side stages.
+        // The breakdown recorded engine-side and harness-side stages.
         // The engine stages only fire on the CAM backend; under a CI
         // `CASA_BACKEND=fm|ert` pin only the session/harness stages do.
         let cam = matches!(
@@ -385,22 +303,19 @@ mod tests {
         if cam {
             expected.extend([Stage::KmerCodes, Stage::FilterLookup, Stage::CamSearch]);
         }
-        for profile in [&report.before, &report.after] {
-            assert!(!profile.is_empty());
-            for &stage in &expected {
-                assert!(
-                    profile.calls(stage) > 0,
-                    "no spans recorded for {stage} stage"
-                );
-            }
+        assert!(!report.profile.is_empty());
+        for &stage in &expected {
+            assert!(
+                report.profile.calls(stage) > 0,
+                "no spans recorded for {stage} stage"
+            );
         }
-        assert!(report.speedup() > 0.0);
+        assert!(report.session_ms() > 0.0);
         let t = table(&report);
         assert_eq!(t.rows.len(), Stage::ALL.len() + 1);
         let json: serde_json::Value =
             serde_json::from_str(&bench_json(&report, Scale::Small)).expect("bench json parses");
         assert_eq!(json["stages"].as_array().unwrap().len(), Stage::ALL.len());
-        assert!(json["headline"]["speedup_vs_before"].as_f64().unwrap() > 0.0);
-        assert_eq!(json["session1_workload"], true);
+        assert!(json["headline"]["session_ms"].as_f64().unwrap() > 0.0);
     }
 }

@@ -1,7 +1,8 @@
 //! Integration tests for the zero-copy index image pipeline: build an
 //! image once, mmap it back, and prove the mapped index is
-//! bit-identical to a freshly built one across every backend, kernel,
-//! and worker count; fuzz the on-disk format with truncations and bit
+//! bit-identical to a freshly built one across every backend and worker
+//! count (the CAM word kernels are checked against each other on mapped
+//! planes by `casa-cam`'s `kernel_equivalence` tests); fuzz the on-disk format with truncations and bit
 //! flips (typed errors, never a panic); and hot-swap the image under a
 //! live `casa-serve` with concurrent clients in flight — zero dropped
 //! or erroring requests.
@@ -12,8 +13,7 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use casa::core::{
-    build_index_image, BackendKind, CasaConfig, FaultPlan, KernelBackend, LoadedIndex,
-    SeedingSession,
+    build_index_image, BackendKind, CasaConfig, FaultPlan, LoadedIndex, SeedingSession,
 };
 use casa::genome::synth::{generate_reference, ReferenceProfile};
 use casa::genome::{PackedSeq, ReadSimConfig, ReadSimulator};
@@ -72,18 +72,15 @@ fn mapped_index_is_bit_identical_across_backends_kernels_and_workers() {
     );
 
     for backend in BackendKind::ALL {
-        for kernel in KernelBackend::supported() {
-            for workers in [1, 2, 8] {
-                let session =
-                    SeedingSession::from_image(&index, workers, FaultPlan::default(), backend)
-                        .expect("mapped session");
-                session.set_kernel_backend(kernel);
-                let run = session.seed_reads(&reads);
-                assert_eq!(
-                    run.smems, golden.smems,
-                    "mapped {backend:?}/{kernel:?}/workers={workers} diverged from fresh build"
-                );
-            }
+        for workers in [1, 2, 8] {
+            let session =
+                SeedingSession::from_image(&index, workers, FaultPlan::default(), backend)
+                    .expect("mapped session");
+            let run = session.seed_reads(&reads);
+            assert_eq!(
+                run.smems, golden.smems,
+                "mapped {backend:?}/workers={workers} diverged from fresh build"
+            );
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
