@@ -7,6 +7,7 @@ use casa_align::chain::{anchors_from_smems, chain_anchors, ChainConfig};
 use casa_align::myers::edit_distance;
 use casa_align::sw::{extend_right, Scoring};
 use casa_cam::{Bcam, CamQuery, EntryMask, KernelBackend};
+use casa_experiments::cam_kernel;
 use casa_filter::BloomFilter;
 use casa_genome::synth::{generate_reference, ReferenceProfile};
 use casa_genome::{ReadSimConfig, ReadSimulator};
@@ -105,6 +106,41 @@ fn bench(c: &mut Criterion) {
                 hits.iter().map(Vec::len).sum::<usize>()
             })
         });
+    }
+
+    // Narrow probes: one or two enabled entries per query (the RMEM chase
+    // and binary-probe shape) through the batch protocol, on the 40k
+    // partition and on the whole 100k reference — a probe's cost follows
+    // its enabled span, not the partition size. Hits and CamStats are
+    // checked against the scalar oracle before timing.
+    for (label, seq) in [("40k", &part), ("100k", &reference)] {
+        let mut narrow = Bcam::new(seq, 40);
+        let probes = cam_kernel::narrow_probes(&narrow, cam_queries.len());
+        let mut oracle = narrow.clone();
+        let expected: Vec<Vec<u32>> = probes
+            .iter()
+            .map(|(q, m)| oracle.search_scalar(q, m))
+            .collect();
+        group.throughput(Throughput::Elements(probes.len() as u64));
+        for backend in KernelBackend::supported() {
+            narrow.set_kernel_backend(backend);
+            narrow.reset_stats();
+            let mut got = Vec::new();
+            cam_kernel::run_probes(&mut narrow, &probes, |h| got.push(h.to_vec()));
+            assert_eq!(got, expected, "{backend} narrow probes ({label})");
+            assert_eq!(
+                narrow.stats(),
+                oracle.stats(),
+                "{backend} narrow probes ({label})"
+            );
+            group.bench_function(format!("cam_narrow_probe_{backend}_{label}"), |b| {
+                b.iter(|| {
+                    let mut n = 0usize;
+                    cam_kernel::run_probes(&mut narrow, &probes, |h| n += h.len());
+                    n
+                })
+            });
+        }
     }
     group.throughput(Throughput::Elements(1));
 

@@ -152,33 +152,41 @@ fn set_mask_bit(words: &mut [u64], i: usize) {
     words[i / 64] |= 1 << (i % 64);
 }
 
-/// Word bounds `[lo, hi)` of the nonzero candidate words — `(0, 0)` when
-/// every word is zero. A zero candidate word can never contribute a hit:
-/// match lines are a subset of the candidates, and the stuck-at override
-/// formula ANDs with the candidate word. Restricting the column walk and
-/// hit extraction to this span is therefore exact, and pays off hugely on
-/// the chase and binary-probe searches, whose masks enable a handful of
-/// adjacent entries out of the whole partition.
+/// Stages the search candidates of `enabled` — the words of its span
+/// (see [`EntryMask::span`]) clipped to the `entries` range — into
+/// `cand[lo..hi]` and returns `(lo, hi)`. Every later step of the search
+/// reads only these words; the rest of `cand` keeps stale words of
+/// earlier searches. Exact, because every mask word outside the span is
+/// zero and a zero candidate word can never contribute a hit: match lines
+/// are a subset of the candidates, and the stuck-at override formula ANDs
+/// with the candidate word. A mask may be shorter or longer than the
+/// entry count; out-of-range enabled bits cost `rows_enabled` but never
+/// participate. The chase and binary-probe searches enable a handful of
+/// adjacent entries out of the whole partition, so their whole search
+/// costs a word or two.
 #[inline]
-fn word_span(words: &[u64]) -> (usize, usize) {
-    match words.iter().position(|&w| w != 0) {
-        None => (0, 0),
-        Some(lo) => {
-            let hi = words.iter().rposition(|&w| w != 0).unwrap_or(lo) + 1;
-            (lo, hi)
-        }
+fn stage_candidates(cand: &mut [u64], enabled: &EntryMask, entries: usize) -> (usize, usize) {
+    let span = enabled.span();
+    let hi = span.end.min(cand.len());
+    let lo = span.start.min(hi);
+    cand[lo..hi].copy_from_slice(&enabled.words()[lo..hi]);
+    if lo < hi && hi * 64 > entries {
+        let tail = entries - (hi - 1) * 64;
+        cand[hi - 1] &= (1u64 << tail) - 1;
     }
+    (lo, hi)
 }
 
-/// Distinct 256-row arrays holding a nonzero candidate word. The ascending
-/// word scan counts each array at most once, matching the scalar walk's
-/// per-entry accounting exactly (words never straddle arrays).
-fn arrays_of(cand: &[u64]) -> u64 {
+/// Distinct 256-row arrays holding a nonzero candidate word, where `cand`
+/// holds the mask words from word `lo` on. The ascending word scan counts
+/// each array at most once, matching the scalar walk's per-entry
+/// accounting exactly (words never straddle arrays).
+fn arrays_of(cand: &[u64], lo: usize) -> u64 {
     let mut count = 0u64;
     let mut last_array = usize::MAX;
     for (w, &cw) in cand.iter().enumerate() {
         if cw != 0 {
-            let array = w / WORDS_PER_ARRAY;
+            let array = (lo + w) / WORDS_PER_ARRAY;
             if array != last_array {
                 count += 1;
                 last_array = array;
@@ -276,9 +284,10 @@ pub struct Bcam {
     /// Word-level kernel function table (the process default; tests and
     /// benches swap it through [`Bcam::set_kernel_backend`]).
     ops: &'static KernelOps,
-    /// Search scratch: candidate (enabled ∩ in-range) words.
+    /// Search scratch: candidate (enabled ∩ in-range) words, `ewords`
+    /// long; only the staged span is meaningful.
     cand: Vec<u64>,
-    /// Search scratch: surviving match-line words.
+    /// Search scratch: surviving match-line words, `ewords` long.
     matchline: Vec<u64>,
     /// Whether any stuck-at fault site exists. When false, hit extraction
     /// can skip the stuck-at override formula (it degenerates to the
@@ -308,11 +317,9 @@ struct BatchSlot {
     sym_start: usize,
     /// Number of symbols (query length).
     sym_len: usize,
-    /// Candidate words for this slot (`ewords.min(mask words)`).
-    n: usize,
-    /// Whether the slot's match line can fire at all (false for a query
-    /// wider than an entry; such a line is provably all zero).
-    alive: bool,
+    /// Staged candidate word span `[lo, hi)` (see `stage_candidates`).
+    lo: usize,
+    hi: usize,
 }
 
 impl Bcam {
@@ -333,8 +340,8 @@ impl Bcam {
             planes: Vec::new().into(),
             ewords,
             ops: kernel::default_backend().ops(),
-            cand: Vec::new(),
-            matchline: Vec::new(),
+            cand: vec![0; ewords],
+            matchline: vec![0; ewords],
             has_stuck: false,
             batch_block: MAX_BATCH,
             batch_pending: 0,
@@ -376,8 +383,8 @@ impl Bcam {
             planes: planes.into(),
             ewords,
             ops: kernel::default_backend().ops(),
-            cand: Vec::new(),
-            matchline: Vec::new(),
+            cand: vec![0; ewords],
+            matchline: vec![0; ewords],
             has_stuck: false,
             batch_block: MAX_BATCH,
             batch_pending: 0,
@@ -539,24 +546,27 @@ impl Bcam {
     pub fn search_into(&mut self, query: &CamQuery, enabled: &EntryMask, hits: &mut Vec<u32>) {
         self.stats.searches += 1;
         self.stats.rows_enabled += enabled.count() as u64;
-        hits.clear();
-        self.bitparallel_kernel(query, enabled, hits);
-        self.stats.matches += hits.len() as u64;
+        let mut cand = std::mem::take(&mut self.cand);
+        let mut ml = std::mem::take(&mut self.matchline);
+        let (lo, hi) = stage_candidates(&mut cand, enabled, self.entries());
+        self.stats.arrays_activated += arrays_of(&cand[lo..hi], lo);
+        self.eval_into(query.symbols(), &cand[lo..hi], &mut ml[lo..hi], lo, hits);
+        self.cand = cand;
+        self.matchline = ml;
     }
 
     /// Opens a fresh search batch, discarding any previous batch state.
     ///
     /// Batched searching evaluates up to [`Bcam::batch_block`] queries per
-    /// flush (query-blocking): a push precomputes the slot's candidate
-    /// words and driven-column plane ids, and the flush runs each slot's
-    /// entire column walk in a single fused kernel call
-    /// ([`KernelOps::match_cols`]) — one backend dispatch per query
-    /// instead of one per column, with the init copy fused into the first
-    /// column's AND. Stats are booked per slot with exactly the per-query
-    /// accounting, so [`CamStats`] totals are bit-identical to issuing the
-    /// same searches one at a time (the counters are commutative integer
-    /// sums and per-slot early exit only skips work that cannot change
-    /// them).
+    /// flush (query-blocking): a push stages the slot's candidate span
+    /// and query symbols and books its row/array activity, and the flush
+    /// runs each slot's entire column walk in a single fused kernel call
+    /// ([`KernelOps::match_cols`]) over that span, the same evaluation
+    /// [`Bcam::search_into`] runs. Stats are booked per slot with exactly
+    /// the per-query accounting, so [`CamStats`] totals are bit-identical
+    /// to issuing the same searches one at a time (the counters are
+    /// commutative integer sums and per-slot early exit only skips work
+    /// that cannot change them).
     ///
     /// Protocol: `batch_begin` → up to `batch_block` × [`Bcam::batch_push`]
     /// → [`Bcam::batch_flush`] → read each slot via [`Bcam::batch_hits`].
@@ -592,96 +602,44 @@ impl Bcam {
         self.stats.rows_enabled += enabled.count() as u64;
 
         let entries = self.entries();
-        let ewords = self.ewords;
-        let mwords = enabled.words();
-        let n = ewords.min(mwords.len());
-        let cand = &mut self.batch_cand[slot * ewords..][..ewords];
-        cand[..n].copy_from_slice(&mwords[..n]);
-        if n * 64 > entries {
-            let tail = entries - (n - 1) * 64;
-            cand[n - 1] &= (1u64 << tail) - 1;
-        }
-        self.stats.arrays_activated += arrays_of(&cand[..n]);
+        let cand = &mut self.batch_cand[slot * self.ewords..][..self.ewords];
+        let (lo, hi) = stage_candidates(cand, enabled, entries);
+        self.stats.arrays_activated += arrays_of(&cand[lo..hi], lo);
         let sym_start = self.batch_syms.len();
         self.batch_syms.extend_from_slice(query.symbols());
-        // A query wider than an entry matches nothing stored (the scalar
-        // oracle bails at column `entry_bases`); its line is dead from the
-        // start and only stuck-one overrides can still fire.
         self.batch_slots.push(BatchSlot {
             sym_start,
             sym_len: query.len(),
-            n,
-            alive: query.len() <= self.entry_bases,
+            lo,
+            hi,
         });
         slot
     }
 
-    /// Evaluates every pending slot's match lines in shared bitplane passes
-    /// and extracts per-slot hits. After this, [`Bcam::batch_hits`] is
-    /// valid for every pushed slot until the next [`Bcam::batch_begin`].
+    /// Evaluates every pending slot's match lines and extracts per-slot
+    /// hits, one fused kernel call per slot over its staged candidate
+    /// span. After this, [`Bcam::batch_hits`] is valid for every pushed
+    /// slot until the next [`Bcam::batch_begin`].
     pub fn batch_flush(&mut self) {
+        let cand = std::mem::take(&mut self.batch_cand);
+        let mut ml = std::mem::take(&mut self.batch_matchline);
+        let syms = std::mem::take(&mut self.batch_syms);
         for i in 0..self.batch_pending {
+            let s = self.batch_slots[i];
+            let words = i * self.ewords + s.lo..i * self.ewords + s.hi;
             let mut hits = std::mem::take(&mut self.batch_hits[i]);
-            self.flush_slot_into(i, &mut hits);
+            self.eval_into(
+                &syms[s.sym_start..][..s.sym_len],
+                &cand[words.clone()],
+                &mut ml[words],
+                s.lo,
+                &mut hits,
+            );
             self.batch_hits[i] = hits;
         }
-    }
-
-    /// Evaluates slot `i` of the open batch and writes its hits into `out`
-    /// (cleared first), booking the matches. One fused kernel call runs
-    /// the slot's entire column walk: ml = cand AND every driven plane,
-    /// with the per-query early exit (a dead line's words are all zero,
-    /// exactly the state the per-query path leaves).
-    fn flush_slot_into(&mut self, i: usize, out: &mut Vec<u32>) {
-        let ewords = self.ewords;
-        let ops = self.ops;
-        let s = self.batch_slots[i];
-        let cand = &self.batch_cand[i * ewords..][..s.n];
-        let ml = &mut self.batch_matchline[i * ewords..][..s.n];
-        // Everything below only touches the nonzero candidate span (see
-        // [`word_span`]); shifting the plane base by `lo` keeps each
-        // plane row's window aligned with the clipped slices.
-        let (lo, hi) = word_span(cand);
-        let cand = &cand[lo..hi];
-        let ml = &mut ml[lo..hi];
-        let any = if s.alive && lo < hi {
-            let syms = &self.batch_syms[s.sym_start..s.sym_start + s.sym_len];
-            ops.match_cols(ml, cand, &self.planes[lo..], ewords, syms)
-        } else {
-            ml.fill(0);
-            0
-        };
-
-        out.clear();
-        if !self.has_stuck {
-            // Fault-free fast path: the override formula degenerates to
-            // `cand & ml`, and ml ⊆ cand by construction, so the
-            // match-line words *are* the hits — and a dead line
-            // (any == 0) has none at all.
-            if any != 0 {
-                for (w, &mlw) in ml.iter().enumerate() {
-                    let mut word = mlw;
-                    while word != 0 {
-                        let bit = word.trailing_zeros() as usize;
-                        word &= word - 1;
-                        out.push(((lo + w) * 64 + bit) as u32);
-                    }
-                }
-            }
-        } else {
-            // Stuck-at overrides (stuck-zero beats stuck-one beats
-            // mismatch), word-wise as in the per-query path.
-            for (w, &mlw) in ml.iter().enumerate() {
-                let wa = lo + w;
-                let mut word = (cand[w] & !self.stuck_zero[wa]) & (self.stuck_one[wa] | mlw);
-                while word != 0 {
-                    let bit = word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    out.push((wa * 64 + bit) as u32);
-                }
-            }
-        }
-        self.stats.matches += out.len() as u64;
+        self.batch_cand = cand;
+        self.batch_matchline = ml;
+        self.batch_syms = syms;
     }
 
     /// The hits of batch slot `slot`, ascending. Valid after
@@ -695,16 +653,17 @@ impl Bcam {
     /// calling [`Bcam::search_into`] once per query in order.
     ///
     /// Because every query shares one mask, the mask-dependent per-query
-    /// work — clipping the candidate words, counting enabled rows and
+    /// work — staging the candidate span, counting enabled rows and
     /// activated arrays — is hoisted out of the loop and done once for
     /// the whole call; each query then books the identical counter
     /// increments, so the integer sums (and therefore [`CamStats`]) are
-    /// unchanged. Each query's entire column walk then runs as a single
-    /// fused [`KernelOps::match_cols`] call against the shared candidate
-    /// words, with none of the per-slot staging the mixed-mask batch
-    /// protocol ([`Bcam::batch_begin`] …) needs. The hoisting plus the
-    /// fused kernel is where the batched path's speedup over per-query
-    /// [`Bcam::search_into`] comes from.
+    /// unchanged. Each query's column walk is the same single fused
+    /// [`KernelOps::match_cols`] call [`Bcam::search_into`] makes, against
+    /// the shared candidate words, with none of the per-slot staging the
+    /// mixed-mask batch protocol ([`Bcam::batch_begin`] …) needs. The
+    /// hoisting is what the batched path saves over per-query
+    /// [`Bcam::search_into`], so it pays off on wide masks and vanishes
+    /// on narrow ones.
     pub fn search_batch_into(
         &mut self,
         queries: &[CamQuery],
@@ -712,74 +671,19 @@ impl Bcam {
         hits: &mut Vec<Vec<u32>>,
     ) {
         hits.resize_with(queries.len(), Vec::new);
-        let entries = self.entries();
-        let mwords = enabled.words();
-        let n = self.ewords.min(mwords.len());
-        self.cand.clear();
-        self.cand.extend_from_slice(&mwords[..n]);
-        if n * 64 > entries {
-            let tail = entries - (n - 1) * 64;
-            self.cand[n - 1] &= (1u64 << tail) - 1;
-        }
         let rows = enabled.count() as u64;
-        let arrays = arrays_of(&self.cand);
-        let ewords = self.ewords;
-        let ops = self.ops;
-        // The shared mask's nonzero span is computed once for the whole
-        // batch (see [`word_span`]); every query's column walk and hit
-        // extraction stays inside it.
-        let (lo, hi) = word_span(&self.cand);
-        self.matchline.clear();
-        self.matchline.resize(n, 0);
+        let mut cand = std::mem::take(&mut self.cand);
+        let mut ml = std::mem::take(&mut self.matchline);
+        let (lo, hi) = stage_candidates(&mut cand, enabled, self.entries());
+        let arrays = arrays_of(&cand[lo..hi], lo);
         for (q, out) in queries.iter().zip(hits.iter_mut()) {
             self.stats.searches += 1;
             self.stats.rows_enabled += rows;
             self.stats.arrays_activated += arrays;
-            let any = if q.len() <= self.entry_bases && lo < hi {
-                ops.match_cols(
-                    &mut self.matchline[lo..hi],
-                    &self.cand[lo..hi],
-                    &self.planes[lo..],
-                    ewords,
-                    q.symbols(),
-                )
-            } else {
-                // Wider than an entry: provably dead line (the scalar
-                // oracle bails at column `entry_bases`).
-                self.matchline[lo..hi].fill(0);
-                0
-            };
-            out.clear();
-            if !self.has_stuck {
-                // Fault-free fast path: the override formula degenerates to
-                // `cand & ml`, and ml ⊆ cand by construction, so the
-                // match-line words *are* the hits — and a dead line
-                // (any == 0) has none at all.
-                if any != 0 {
-                    for (w, &mlw) in self.matchline[lo..hi].iter().enumerate() {
-                        let mut word = mlw;
-                        while word != 0 {
-                            let bit = word.trailing_zeros() as usize;
-                            word &= word - 1;
-                            out.push(((lo + w) * 64 + bit) as u32);
-                        }
-                    }
-                }
-            } else {
-                // Stuck-at overrides (stuck-zero beats stuck-one beats
-                // mismatch), word-wise as in the per-query path.
-                for w in lo..hi {
-                    let mut word = (self.cand[w] & !self.stuck_zero[w])
-                        & (self.stuck_one[w] | self.matchline[w]);
-                    while word != 0 {
-                        let bit = word.trailing_zeros() as usize;
-                        word &= word - 1;
-                        out.push((w * 64 + bit) as u32);
-                    }
-                }
-            }
-            self.stats.matches += out.len() as u64;
+            self.eval_into(q.symbols(), &cand[lo..hi], &mut ml[lo..hi], lo, out);
         }
+        self.cand = cand;
+        self.matchline = ml;
     }
 
     /// [`Bcam::search`] through the scalar entry-at-a-time walk — the
@@ -813,63 +717,63 @@ impl Bcam {
         hits
     }
 
-    /// The bit-parallel evaluation: AND the driven columns' planes into the
-    /// enabled words, then resolve stuck-at overrides word-wise —
-    /// 64 match lines per operation.
-    fn bitparallel_kernel(&mut self, query: &CamQuery, enabled: &EntryMask, hits: &mut Vec<u32>) {
-        let entries = self.entries();
-        let ewords = self.ewords;
-
-        // Candidates: enabled words clipped to the entry range. A mask may
-        // be shorter or longer than the entry count; out-of-range enabled
-        // bits cost rows_enabled (counted above) but never participate.
-        self.cand.clear();
-        let mwords = enabled.words();
-        let n = ewords.min(mwords.len());
-        self.cand.extend_from_slice(&mwords[..n]);
-        if n * 64 > entries {
-            let tail = entries - (n - 1) * 64;
-            self.cand[n - 1] &= (1u64 << tail) - 1;
-        }
-
-        // Peripheral activation: one per distinct 256-row array holding a
-        // candidate. The scalar walk visits entries ascending, so distinct
-        // arrays are counted exactly once; words never straddle arrays
-        // (ROWS_PER_ARRAY % 64 == 0), so word granularity sees the same
-        // arrays.
-        self.stats.arrays_activated += arrays_of(&self.cand);
-
-        // Match lines: start from the candidates, AND in each driven
-        // column's plane — touching only the nonzero candidate span (see
-        // [`word_span`]). A query wider than an entry matches nothing
-        // stored (the scalar oracle bails at column `entry_bases`); only
-        // stuck-one lines can still fire.
-        let ops = self.ops;
-        let (lo, hi) = word_span(&self.cand);
-        self.matchline.clear();
-        self.matchline.resize(n, 0);
-        if query.len() <= self.entry_bases && lo < hi {
-            self.matchline[lo..hi].copy_from_slice(&self.cand[lo..hi]);
-            for (col, sym) in query.symbols().iter().enumerate() {
-                let Symbol::Base(b) = sym else { continue };
-                let plane = &self.planes[(col * 4 + b.code() as usize) * ewords + lo..][..hi - lo];
-                if ops.and_plane(&mut self.matchline[lo..hi], plane) == 0 {
-                    break;
+    /// The bit-parallel evaluation of one query over the staged candidate
+    /// words `cand` (mask words `lo..lo + cand.len()`, see
+    /// `stage_candidates`): one fused kernel call ANDs every driven
+    /// column's plane into the match lines `ml` — 64 match lines per
+    /// operation, with the per-column early exit — then stuck-at overrides
+    /// resolve word-wise and the hits go to `out` (cleared first),
+    /// ascending, and are booked as matches.
+    fn eval_into(
+        &mut self,
+        syms: &[Symbol],
+        cand: &[u64],
+        ml: &mut [u64],
+        lo: usize,
+        out: &mut Vec<u32>,
+    ) {
+        // A query wider than an entry matches nothing stored (the scalar
+        // oracle bails at column `entry_bases`); its line is dead from the
+        // start and only stuck-one overrides can still fire. Shifting the
+        // plane base by `lo` keeps each plane row's window aligned with
+        // the span.
+        let any = if syms.len() <= self.entry_bases && !cand.is_empty() {
+            self.ops
+                .match_cols(ml, cand, &self.planes[lo..], self.ewords, syms)
+        } else {
+            ml.fill(0);
+            0
+        };
+        out.clear();
+        if !self.has_stuck {
+            // Fault-free fast path: the override formula degenerates to
+            // `cand & ml`, and ml ⊆ cand by construction, so the
+            // match-line words *are* the hits — and a dead line
+            // (any == 0) has none at all.
+            if any != 0 {
+                for (w, &mlw) in ml.iter().enumerate() {
+                    let mut word = mlw;
+                    while word != 0 {
+                        let bit = word.trailing_zeros() as usize;
+                        word &= word - 1;
+                        out.push(((lo + w) * 64 + bit) as u32);
+                    }
+                }
+            }
+        } else {
+            // Stuck-at overrides: stuck-zero beats stuck-one beats
+            // mismatch.
+            for (w, &mlw) in ml.iter().enumerate() {
+                let wa = lo + w;
+                let mut word = (cand[w] & !self.stuck_zero[wa]) & (self.stuck_one[wa] | mlw);
+                while word != 0 {
+                    let bit = word.trailing_zeros() as usize;
+                    word &= word - 1;
+                    out.push((wa * 64 + bit) as u32);
                 }
             }
         }
-
-        // Stuck-at overrides (stuck-zero beats stuck-one beats mismatch),
-        // then emit hit indices ascending.
-        for w in lo..hi {
-            let mut word =
-                (self.cand[w] & !self.stuck_zero[w]) & (self.stuck_one[w] | self.matchline[w]);
-            while word != 0 {
-                let bit = word.trailing_zeros() as usize;
-                word &= word - 1;
-                hits.push((w * 64 + bit) as u32);
-            }
-        }
+        self.stats.matches += out.len() as u64;
     }
 
     /// Whether entry `e` matches `query` (no activity recorded; used by the
@@ -952,10 +856,18 @@ impl GroupScheme {
     }
 
     /// Enables every entry of every group whose indicator bit is set.
+    /// Visits only the enabled entries (every `groups`-th from each set
+    /// group's first), so the cost is the enabled count, not the total.
     pub fn mask_for_indicator(&self, indicator: u32, total_entries: usize) -> EntryMask {
         let mut mask = EntryMask::new(total_entries);
-        for e in 0..total_entries {
-            if indicator & (1 << self.group_of_entry(e)) != 0 {
+        let mut bits = indicator;
+        while bits != 0 {
+            let g = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            if g >= self.groups {
+                break;
+            }
+            for e in (g..total_entries).step_by(self.groups) {
                 mask.set(e);
             }
         }

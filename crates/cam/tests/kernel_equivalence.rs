@@ -5,7 +5,8 @@
 //! count), and injected faults — for every supported word-kernel backend
 //! (`u64x4`, AVX2), for the query-blocked batch path at every block size
 //! `1..=MAX_BATCH`, and for CAMs reassembled from shared planes (the
-//! layout a mapped index image loads). These are the only tests that
+//! layout a mapped index image loads), plus a regression test for masks
+//! reused across searches (span upkeep). These are the only tests that
 //! switch kernels: every layer above the CAM runs the detected one.
 //!
 //! [`CamStats`]: casa_cam::CamStats
@@ -241,4 +242,133 @@ fn kernel_sees_flipped_bases_after_fault_injection() {
     assert_eq!(hits_kernel, hits_scalar);
     assert!(hits_kernel.len() < kernel.entries());
     assert_eq!(kernel.stats(), scalar.stats());
+}
+
+/// One search step of the stale-span regression: the reused mask's next
+/// state, reached by mutating it in place.
+enum MaskStep {
+    /// `copy_from` this mask.
+    Copy(EntryMask),
+    /// `reset`, then set these bits.
+    Reset(Vec<usize>),
+    /// `clear_all`, then set these bits.
+    ClearAll(Vec<usize>),
+}
+
+/// Masks only ever widen their span cache, and the CAM keeps candidate
+/// and match-line words of earlier searches outside the current span, so
+/// the one new way to go wrong is a stale word leaking into a later
+/// search. One `EntryMask` is reused across searches — a full group mask,
+/// then `reset` to one or two bits far from the old span, `copy_from` a
+/// narrow mask into a previously full one, narrow masks at opposite ends —
+/// through `search_into`, `search_batch_into` and the batch protocol, with
+/// and without stuck-at faults. Hits and the full `CamStats` must equal
+/// the scalar oracle's, and no hit (stuck-one lines included) may lie
+/// outside the mask.
+#[test]
+fn reused_masks_never_leak_stale_span_words() {
+    let codes: Vec<u8> = (0..24_000u64)
+        .map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 61) as u8 & 3)
+        .collect();
+    let seq = packed(&codes);
+    let stride = 8;
+    let entries = Bcam::new(&seq, stride).entries();
+    let group = casa_cam::GroupScheme::new(20, stride).mask_for_indicator(1 << 3, entries);
+    let mut full_narrow = EntryMask::all(entries);
+    full_narrow.reset(entries);
+    full_narrow.set(1500);
+    let steps = [
+        MaskStep::Copy(group.clone()),
+        MaskStep::Reset(vec![entries - 1]),
+        MaskStep::Reset(vec![0, 2]),
+        MaskStep::Copy(EntryMask::all(entries)),
+        MaskStep::Copy(mask_from(&[700, 701], entries)),
+        MaskStep::ClearAll(vec![entries - 70]),
+        MaskStep::Copy(group),
+        MaskStep::ClearAll(vec![64, 2999]),
+        MaskStep::Copy(full_narrow),
+        MaskStep::Reset(vec![]),
+    ];
+    // An all-wildcard query matches every candidate, so any leaked
+    // candidate word shows; stored entries make hits the common case.
+    let queries = |m: &EntryMask| -> Vec<CamQuery> {
+        let mut qs = vec![CamQuery::new(vec![Symbol::Any; 3])];
+        qs.extend(m.iter_ones().take(2).map(|e| {
+            let from = e * stride;
+            CamQuery::padded(&seq, from, stride.min(seq.len() - from), 0)
+        }));
+        qs.push(query(&[1, 2, 3, 0], 1));
+        qs
+    };
+
+    let models = [
+        None,
+        Some(CamFaultModel {
+            seed: 5,
+            stuck_rate: 0.2,
+            flip_rate: 0.0,
+        }),
+        Some(CamFaultModel {
+            seed: 6,
+            stuck_rate: 0.1,
+            flip_rate: 0.02,
+        }),
+    ];
+    for model in &models {
+        let mut base = Bcam::new(&seq, stride);
+        if let Some(m) = model {
+            let report = base.inject_faults(m);
+            assert!(m.stuck_rate == 0.0 || !report.stuck_one.is_empty());
+        }
+        for backend in KernelBackend::supported() {
+            let mut oracle = base.clone();
+            let mut per_query = base.clone();
+            let mut batched = base.clone();
+            let mut protocol = base.clone();
+            for cam in [&mut per_query, &mut batched, &mut protocol] {
+                cam.set_kernel_backend(backend);
+            }
+            let mut mask = EntryMask::all(entries);
+            let mut hits = Vec::new();
+            let mut batch_hits: Vec<Vec<u32>> = Vec::new();
+            for (at, step) in steps.iter().enumerate() {
+                match step {
+                    MaskStep::Copy(src) => mask.copy_from(src),
+                    MaskStep::Reset(bits) => {
+                        mask.reset(entries);
+                        bits.iter().for_each(|&b| mask.set(b));
+                    }
+                    MaskStep::ClearAll(bits) => {
+                        mask.clear_all();
+                        bits.iter().for_each(|&b| mask.set(b));
+                    }
+                }
+                let qs = queries(&mask);
+                let expected: Vec<Vec<u32>> =
+                    qs.iter().map(|q| oracle.search_scalar(q, &mask)).collect();
+                let label = format!("{backend} step {at} faults {model:?}");
+                for (q, expect) in qs.iter().zip(&expected) {
+                    assert!(expect.iter().all(|&e| mask.get(e as usize)), "{label}");
+                    per_query.search_into(q, &mask, &mut hits);
+                    assert_eq!(&hits, expect, "{label} per query");
+                }
+                batched.search_batch_into(&qs, &mask, &mut batch_hits);
+                assert_eq!(batch_hits, expected, "{label} batched");
+                let block = protocol.batch_block();
+                for (qs, expected) in qs.chunks(block).zip(expected.chunks(block)) {
+                    protocol.batch_begin();
+                    for q in qs {
+                        protocol.batch_push(q, &mask);
+                    }
+                    protocol.batch_flush();
+                    for (slot, expect) in expected.iter().enumerate() {
+                        assert_eq!(protocol.batch_hits(slot), &expect[..], "{label} protocol");
+                    }
+                }
+                for cam in [&per_query, &batched, &protocol] {
+                    assert_eq!(cam.stats(), oracle.stats(), "{label}");
+                }
+            }
+        }
+    }
 }

@@ -101,7 +101,7 @@ proptest! {
     /// CAM session — SMEMs and SAM — for every backend and worker counts
     /// 1, 2, and 8.
     #[test]
-    fn profiled_path_is_bit_identical_across_backends_kernels_workers(
+    fn profiled_path_is_bit_identical_across_backends_and_workers(
         ref_codes in prop::collection::vec(0u8..4, 200..900),
         specs in prop::collection::vec(
             (0usize..10_000, 8usize..48, 0u8..3, 0u8..=255),

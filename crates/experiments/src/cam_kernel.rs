@@ -1,9 +1,10 @@
 //! CAM kernel harness: the scalar reference match-line model
 //! ([`Bcam::search_scalar`]) versus the word-kernel backends (unrolled
-//! `u64x4`, AVX2) on two workloads — a per-query search microbenchmark
-//! and the query-blocked batched search — with output equality asserted
-//! on every run. The end-to-end effect of the detected kernel is
-//! casabench's to measure, not this harness's. Written to
+//! `u64x4`, AVX2) on three workloads — a per-query search
+//! microbenchmark, the query-blocked batched search, and narrow probes
+//! (one or two enabled entries, the RMEM chase/binary shape) — with
+//! output equality asserted on every run. The end-to-end effect of the
+//! detected kernel is casabench's to measure, not this harness's. Written to
 //! `results/cam_kernel.{csv,json}` and the repo-root `BENCH_kernels.json`
 //! by the `cam_kernel` binary.
 
@@ -28,6 +29,10 @@ const SAMPLES: usize = 15;
 pub const WORKLOAD_MICRO: &str = "micro";
 /// The search microbenchmark through [`Bcam::search_batch_into`].
 pub const WORKLOAD_BATCHED: &str = "micro-batched";
+/// Narrow probes through the batch protocol: each query enables one or
+/// two adjacent entries, the shape of the RMEM chase and binary-probe
+/// searches (the full-mask rows above never exercise it).
+pub const WORKLOAD_NARROW: &str = "narrow-probe";
 /// Kernel label of the scalar entry-walk reference model.
 pub const ORACLE: &str = "oracle";
 /// Kernel label of the speedup baseline: the portable word kernel
@@ -119,6 +124,52 @@ fn median_ns<R: FnMut()>(samples: usize, mut f: R) -> u128 {
     times[times.len() / 2]
 }
 
+/// `n` narrow probes spread over `cam`'s entries: probe `i` enables
+/// entry `e` (and `e + 1` for even `i`) and queries a full stride (even
+/// `i`, a chase step) or a half-stride prefix (odd `i`, a binary probe)
+/// of entry `e`'s stored bases, so most probes hit.
+///
+/// # Panics
+///
+/// Panics if `cam` has no entries.
+pub fn narrow_probes(cam: &Bcam, n: usize) -> Vec<(CamQuery, EntryMask)> {
+    let (seq, stride, entries) = (cam.seq(), cam.entry_bases(), cam.entries());
+    (0..n)
+        .map(|i| {
+            let e = (i * 7919 + 13) % entries;
+            let mut mask = EntryMask::new(entries);
+            mask.set(e);
+            if i % 2 == 0 && e + 1 < entries {
+                mask.set(e + 1);
+            }
+            let from = e * stride;
+            let len = if i % 2 == 0 {
+                stride
+            } else {
+                stride.div_ceil(2)
+            };
+            let q = CamQuery::padded(seq, from, len.min(seq.len() - from), 0);
+            (q, mask)
+        })
+        .collect()
+}
+
+/// Runs `probes` through the batch protocol in blocks of the CAM's
+/// query-blocking factor, as the RMEM chains issue them, calling `seen`
+/// with each probe's hits.
+pub fn run_probes(cam: &mut Bcam, probes: &[(CamQuery, EntryMask)], mut seen: impl FnMut(&[u32])) {
+    for chunk in probes.chunks(cam.batch_block()) {
+        cam.batch_begin();
+        for (q, mask) in chunk {
+            cam.batch_push(q, mask);
+        }
+        cam.batch_flush();
+        for slot in 0..chunk.len() {
+            seen(cam.batch_hits(slot));
+        }
+    }
+}
+
 /// Runs every workload at `scale` across all supported backends,
 /// asserting backend/oracle equality before each measurement.
 ///
@@ -150,6 +201,14 @@ pub fn run(scale: Scale) -> CamKernelReport {
         .map(|q| oracle.search_scalar(q, &full))
         .collect();
     let oracle_stats = oracle.stats();
+
+    let mut narrow_oracle = Bcam::new(&part, ENTRY_BASES);
+    let probes = narrow_probes(&narrow_oracle, queries.len());
+    let narrow_hits: Vec<Vec<u32>> = probes
+        .iter()
+        .map(|(q, mask)| narrow_oracle.search_scalar(q, mask))
+        .collect();
+    let narrow_stats = narrow_oracle.stats();
 
     let mut hits = Vec::new();
     let mut batch_hits: Vec<Vec<u32>> = Vec::new();
@@ -200,6 +259,31 @@ pub fn run(scale: Scale) -> CamKernelReport {
                 cam.search_batch_into(&queries, &full, &mut batch_hits);
             }),
             items: queries.len(),
+        });
+
+        // Narrow-probe equality gate (fresh CAM), then timing.
+        let mut cam = Bcam::new(&part, ENTRY_BASES);
+        cam.set_kernel_backend(backend);
+        let mut got = Vec::new();
+        run_probes(&mut cam, &probes, |h| got.push(h.to_vec()));
+        assert_eq!(
+            got, narrow_hits,
+            "{backend} narrow-probe hits diverged from the scalar reference"
+        );
+        assert_eq!(
+            cam.stats(),
+            narrow_stats,
+            "{backend} narrow-probe CamStats diverged from the scalar reference"
+        );
+        timings.push(KernelTiming {
+            workload: WORKLOAD_NARROW,
+            kernel: backend.as_str(),
+            median_ns: median_ns(SAMPLES, || {
+                run_probes(&mut cam, &probes, |h| {
+                    std::hint::black_box(h);
+                })
+            }),
+            items: probes.len(),
         });
     }
 
@@ -286,10 +370,10 @@ mod tests {
         // only needs to be sane and the word kernels clearly ahead of the
         // entry-walk oracle even at small scale.
         assert!(report.micro_speedup() > 2.0);
-        // Every supported backend is measured on both workloads, plus the
-        // oracle on micro.
+        // Every supported backend is measured on all three workloads,
+        // plus the oracle on micro.
         let backends = KernelBackend::supported().count();
-        assert_eq!(report.timings.len(), 2 * backends + 1);
+        assert_eq!(report.timings.len(), 3 * backends + 1);
         let t = table(&report);
         assert_eq!(t.rows.len(), report.timings.len());
         let json: serde_json::Value =

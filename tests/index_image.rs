@@ -50,7 +50,7 @@ fn build_image(reference: &PackedSeq, config: CasaConfig, path: &Path) -> Loaded
 }
 
 #[test]
-fn mapped_index_is_bit_identical_across_backends_kernels_and_workers() {
+fn mapped_index_is_bit_identical_across_backends_and_workers() {
     let (reference, reads) = workload(20);
     let config = CasaConfig::paper(PART_LEN, READ_LEN);
     let dir = scratch_dir("matrix");
