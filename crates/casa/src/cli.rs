@@ -1327,7 +1327,7 @@ mod tests {
         for needle in [
             "fingerprint",
             "cam-planes",
-            "filter-mini",
+            "filter-rows",
             "suffix-array",
             "ref-text",
         ] {

@@ -33,7 +33,7 @@
 //! non-CAM backends have no filter banks or CAM arrays, so those counters
 //! stay zero and CASA's cycle model does not apply to them.
 
-use casa_filter::PreSeedingFilter;
+use casa_filter::PartSurvivors;
 use casa_genome::PackedSeq;
 use casa_index::smem::smems_bidirectional;
 use casa_index::{BiFmIndex, ErtIndex, Smem};
@@ -144,63 +144,6 @@ impl std::fmt::Display for BackendKind {
     }
 }
 
-/// Rolling k-mer codes for a tile of reads, computed once by the session
-/// and shared across every partition backend.
-///
-/// Each partition engine derives the same per-read code sequence (the
-/// window size is `config.filter.k`, identical for all partitions), so
-/// letting every (partition, tile) job re-derive it multiplies that work
-/// by the partition count. The session computes each tile's codes once
-/// with [`TileKmerCodes::compute`] and passes them to
-/// [`SeedingBackend::seed_tile_with_codes_into`]; backends that do not
-/// consume codes ignore them.
-#[derive(Clone, Debug, Default)]
-pub struct TileKmerCodes {
-    /// Every read's rolling codes, concatenated in read order.
-    codes: Vec<u64>,
-    /// `offsets[i]..offsets[i + 1]` bounds read `i`'s codes in `codes`.
-    /// A read shorter than `k` contributes an empty range.
-    offsets: Vec<usize>,
-}
-
-impl TileKmerCodes {
-    /// Computes every read's rolling window-`k` codes, in read order,
-    /// exactly as [`PackedSeq::kmers`] yields them.
-    pub fn compute(reads: &[PackedSeq], k: usize) -> TileKmerCodes {
-        let mut codes = Vec::new();
-        let mut offsets = Vec::with_capacity(reads.len() + 1);
-        offsets.push(0);
-        for read in reads {
-            codes.extend(read.kmers(k).map(|(_, code)| code));
-            offsets.push(codes.len());
-        }
-        TileKmerCodes { codes, offsets }
-    }
-
-    /// Read `i`'s rolling codes; empty for reads shorter than `k` and for
-    /// indices beyond the computed tile (a defaulted instance holds no
-    /// reads at all).
-    pub fn read(&self, i: usize) -> &[u64] {
-        let (window, n) = self.read_with_tail(i, 0);
-        &window[..n]
-    }
-
-    /// Read `i`'s codes followed by up to `tail` codes of the reads after
-    /// it (fewer at the end of the tile), as `(window, n)` with read `i`'s
-    /// own codes in `window[..n]` — the shape
-    /// [`PreSeedingFilter::lookup_window_into`](casa_filter::PreSeedingFilter::lookup_window_into)
-    /// takes. The tile's codes are contiguous, so this is one slice.
-    pub(crate) fn read_with_tail(&self, i: usize, tail: usize) -> (&[u64], usize) {
-        match (self.offsets.get(i), self.offsets.get(i + 1)) {
-            (Some(&lo), Some(&hi)) => {
-                let end = hi.saturating_add(tail).min(self.codes.len());
-                (&self.codes[lo..end], hi - lo)
-            }
-            _ => (&[], 0),
-        }
-    }
-}
-
 /// One seeding substrate bound to one reference partition.
 ///
 /// Object-safe and `Send + Sync` so a session can hold
@@ -208,7 +151,7 @@ impl TileKmerCodes {
 /// worker threads. Implementations report partition-**local** hit
 /// coordinates; the session translates and merges.
 ///
-/// The CAM-specific hook (`inject_faults`) defaults to a no-op so
+/// The CAM-specific hook (`inject_cam_faults`) defaults to a no-op so
 /// software backends do not have to know about CAM fault models.
 pub trait SeedingBackend: Send + Sync {
     /// Which substrate this is.
@@ -239,58 +182,33 @@ pub trait SeedingBackend: Send + Sync {
         }
     }
 
-    /// Like [`seed_read_into`](Self::seed_read_into), with the read's
-    /// rolling k-mer codes (window `config.filter.k`, as produced by
-    /// [`PackedSeq::kmers`]) already computed by the caller. Backends
-    /// that derive per-pivot state from the codes (the CAM engine) skip
-    /// recomputing them; the default ignores `codes` and defers to
-    /// `seed_read_into`, so software backends need no change. Passing
-    /// codes that are not exactly the read's own is a logic error.
-    fn seed_read_with_codes_into(
-        &mut self,
-        read: &PackedSeq,
-        codes: &[u64],
-        stats: &mut SeedingStats,
-        out: &mut Vec<Smem>,
-    ) {
-        let _ = codes;
-        self.seed_read_into(read, stats, out);
-    }
-
-    /// Tile variant of
-    /// [`seed_read_with_codes_into`](Self::seed_read_with_codes_into):
-    /// seeds `reads[i]` with `codes.read(i)`. Output and stats must stay
-    /// bit-identical to [`seed_tile_into`](Self::seed_tile_into) — the
-    /// codes are a shared precomputation, never a semantic input.
-    fn seed_tile_with_codes_into(
+    /// Tile variant fed by the session's pre-seeding stage: `pre` holds
+    /// this partition's surviving pivots and filter statistics for every
+    /// read of the tile (see
+    /// [`FusedFilter::probe_tile`](casa_filter::FusedFilter::probe_tile)).
+    /// Output and stats must stay bit-identical to
+    /// [`seed_tile_into`](Self::seed_tile_into) — the stage is a shared
+    /// precomputation, never a semantic input. Backends without a filter
+    /// ignore it.
+    fn seed_tile_preseeded_into(
         &mut self,
         reads: &[PackedSeq],
-        codes: &TileKmerCodes,
+        pre: &PartSurvivors,
         stats: &mut SeedingStats,
         out: &mut Vec<Vec<Smem>>,
     ) {
-        out.clear();
-        for (i, read) in reads.iter().enumerate() {
-            let mut smems = Vec::new();
-            self.seed_read_with_codes_into(read, codes.read(i), stats, &mut smems);
-            out.push(smems);
-        }
+        let _ = pre;
+        self.seed_tile_into(reads, stats, out);
     }
 
-    /// Injects seeded hardware faults, returning the chosen sites. Only
-    /// meaningful for the CAM backend; the default reports no sites (the
-    /// software models have no CAM lines or filter tables to corrupt —
-    /// scheduler faults like tile panics and stalls still apply, as they
-    /// fire above the backend).
-    fn inject_faults(
-        &mut self,
-        _cam: &casa_cam::CamFaultModel,
-        _filter: &casa_filter::FilterFaultModel,
-    ) -> (casa_cam::CamFaultReport, casa_filter::FilterFaultReport) {
-        (
-            casa_cam::CamFaultReport::default(),
-            casa_filter::FilterFaultReport::default(),
-        )
+    /// Injects seeded computing-CAM faults, returning the chosen sites.
+    /// Only meaningful for the CAM backend; the default reports no sites
+    /// (the software models have no CAM lines to corrupt — scheduler
+    /// faults like tile panics and stalls still apply, as they fire above
+    /// the backend). Filter faults go into the session's shared
+    /// pre-seeding table, not through the backend.
+    fn inject_cam_faults(&mut self, _cam: &casa_cam::CamFaultModel) -> casa_cam::CamFaultReport {
+        casa_cam::CamFaultReport::default()
     }
 
     /// Enables per-stage wall-clock profiling (see
@@ -316,31 +234,25 @@ impl SeedingBackend for PartitionEngine {
         PartitionEngine::seed_read_into(self, read, stats, out);
     }
 
-    fn seed_read_with_codes_into(
-        &mut self,
-        read: &PackedSeq,
-        codes: &[u64],
-        stats: &mut SeedingStats,
-        out: &mut Vec<Smem>,
-    ) {
-        PartitionEngine::seed_read_with_codes_into(self, read, codes, stats, out);
-    }
-
-    /// Seeds each read with the following reads' first codes as the
-    /// filter's prefetch-only tail, so the lookup pipeline runs across
-    /// read boundaries instead of draining and refilling at every read.
-    fn seed_tile_with_codes_into(
+    /// Seeds each read from the stage's survivors; a stage that does not
+    /// cover the tile (never produced by the session) falls back to the
+    /// engine's own lookups.
+    fn seed_tile_preseeded_into(
         &mut self,
         reads: &[PackedSeq],
-        codes: &TileKmerCodes,
+        pre: &PartSurvivors,
         stats: &mut SeedingStats,
         out: &mut Vec<Vec<Smem>>,
     ) {
+        if pre.reads() != reads.len() {
+            self.seed_tile_into(reads, stats, out);
+            return;
+        }
         out.clear();
         for (i, read) in reads.iter().enumerate() {
-            let (window, n) = codes.read_with_tail(i, PreSeedingFilter::LOOKUP_TAIL);
+            let (survivors, looked_up) = pre.read(i);
             let mut smems = Vec::new();
-            PartitionEngine::seed_read_window_into(self, read, window, n, stats, &mut smems);
+            self.seed_preseeded_into(read, survivors, looked_up, stats, &mut smems);
             out.push(smems);
         }
     }
@@ -349,12 +261,8 @@ impl SeedingBackend for PartitionEngine {
         PartitionEngine::set_profiling(self, enabled);
     }
 
-    fn inject_faults(
-        &mut self,
-        cam: &casa_cam::CamFaultModel,
-        filter: &casa_filter::FilterFaultModel,
-    ) -> (casa_cam::CamFaultReport, casa_filter::FilterFaultReport) {
-        PartitionEngine::inject_faults(self, cam, filter)
+    fn inject_cam_faults(&mut self, cam: &casa_cam::CamFaultModel) -> casa_cam::CamFaultReport {
+        PartitionEngine::inject_cam_faults(self, cam)
     }
 
     fn storage_shared(&self) -> bool {
@@ -586,25 +494,24 @@ mod tests {
         }
     }
 
-    /// The session's shared-codes tile path must be bit-identical —
+    /// The session's pre-seeded tile path must be bit-identical —
     /// output *and* stats — to the plain tile path on every backend,
-    /// including for reads shorter than the filter k-mer (whose code range
-    /// is empty) at the end and in the middle of a tile, where the CAM
-    /// engine's cross-read prefetch tail spans the empty range, and for
-    /// tiles too small to fill the tail.
+    /// including for reads shorter than the filter k-mer (no pivots) at
+    /// the end and in the middle of a tile, for tiles shorter than the
+    /// probe pipeline, and with the exact-match attempt on and off (the
+    /// stage's lookups are charged only when it fails).
     #[test]
-    fn precomputed_codes_path_matches_plain_path() {
+    fn preseeded_path_matches_plain_path() {
         let part = generate_reference(&ReferenceProfile::human_like(), 2_500, 5);
-        let config = CasaConfig::small(part.len());
-        let k = config.filter.k;
+        let k = CasaConfig::small(part.len()).filter.k;
         let mut reads: Vec<PackedSeq> = (0..8).map(|i| part.subseq(i * 100, 40)).collect();
         reads.insert(4, part.subseq(1_000, k - 1));
         reads.push(part.subseq(0, k - 1));
-        let tail = PreSeedingFilter::LOOKUP_TAIL;
+        let foreign = generate_reference(&ReferenceProfile::human_like(), 400, 6);
+        reads.push(foreign.subseq(10, 40));
         let tiles: Vec<Vec<PackedSeq>> = vec![
-            reads.clone(),
+            reads,
             vec![part.subseq(700, 40)],
-            // 2 + 1 + 3 codes: fewer than the tail in total.
             vec![
                 part.subseq(300, k + 1),
                 part.subseq(1_200, k - 2),
@@ -612,41 +519,26 @@ mod tests {
                 part.subseq(2_000, k + 2),
             ],
         ];
-        assert!(
-            tiles[2]
-                .iter()
-                .map(|r| r.len().saturating_sub(k - 1))
-                .sum::<usize>()
-                < tail
-        );
-        for tile in &tiles {
-            let codes = TileKmerCodes::compute(tile, k);
-            for kind in BackendKind::ALL {
-                let mut a = build_backend(kind, &part, config).expect("valid config");
-                let mut b = build_backend(kind, &part, config).expect("valid config");
-                let mut sa = SeedingStats::default();
-                let mut sb = SeedingStats::default();
-                let mut with_codes = Vec::new();
-                let mut plain = Vec::new();
-                a.seed_tile_with_codes_into(tile, &codes, &mut sa, &mut with_codes);
-                b.seed_tile_into(tile, &mut sb, &mut plain);
-                assert_eq!(with_codes, plain, "{kind} codes path diverged");
-                assert_eq!(sa, sb, "{kind} codes-path stats diverged");
+        for exact in [true, false] {
+            let mut config = CasaConfig::small(part.len());
+            config.exact_match_preprocessing = exact;
+            let fused = casa_filter::FusedFilter::build(&[&part], config.filter).unwrap();
+            for tile in &tiles {
+                let pre = crate::preseed::probe_reads(&fused, tile, &mut Default::default(), false);
+                for kind in BackendKind::ALL {
+                    let mut a = build_backend(kind, &part, config).expect("valid config");
+                    let mut b = build_backend(kind, &part, config).expect("valid config");
+                    let mut sa = SeedingStats::default();
+                    let mut sb = SeedingStats::default();
+                    let mut staged = Vec::new();
+                    let mut plain = Vec::new();
+                    a.seed_tile_preseeded_into(tile, &pre[0], &mut sa, &mut staged);
+                    b.seed_tile_into(tile, &mut sb, &mut plain);
+                    assert_eq!(staged, plain, "{kind} pre-seeded path diverged");
+                    assert_eq!(sa, sb, "{kind} pre-seeded stats diverged");
+                }
             }
         }
-        // The window of a read is its own codes plus the next reads' codes,
-        // skipping the empty range of the short read in the middle.
-        let codes = TileKmerCodes::compute(&reads, k);
-        let (window, n) = codes.read_with_tail(3, tail);
-        assert_eq!(&window[..n], codes.read(3));
-        assert_eq!(window.len() - n, tail);
-        assert_eq!(window[n..], codes.read(5)[..tail]);
-        assert_eq!(codes.read_with_tail(4, tail).1, 0);
-        let last = reads.len() - 2;
-        assert_eq!(codes.read_with_tail(last, tail).0, codes.read(last));
-        // Out-of-range reads and defaulted instances report no codes.
-        assert_eq!(codes.read(reads.len()), &[] as &[u64]);
-        assert_eq!(TileKmerCodes::default().read(0), &[] as &[u64]);
     }
 
     #[test]
@@ -662,10 +554,8 @@ mod tests {
                 filter_flip_rate: 0.1,
                 ..crate::FaultPlan::default()
             };
-            let (cam, filter) =
-                backend.inject_faults(&plan.cam_faults_for(0), &plan.filter_faults_for(0));
+            let cam = backend.inject_cam_faults(&plan.cam_faults_for(0));
             assert_eq!(cam, casa_cam::CamFaultReport::default());
-            assert_eq!(filter, casa_filter::FilterFaultReport::default());
         }
     }
 

@@ -1,7 +1,9 @@
 //! Per-partition seeding engine: Algorithm 1 (the filter-enabled SMEM
 //! computing algorithm) plus the exact-match pre-processing of §4.3.
 
-use casa_filter::{PreSeedingFilter, SearchIndicator};
+use std::sync::Arc;
+
+use casa_filter::{FilterStats, FusedFilter, PreSeedingFilter, SearchIndicator, Survivor};
 use casa_genome::PackedSeq;
 use casa_index::Smem;
 
@@ -44,15 +46,18 @@ const PIVOT_BLOCK: usize = casa_cam::MAX_BATCH;
 #[derive(Clone, Debug)]
 pub struct PartitionEngine {
     config: CasaConfig,
-    filter: PreSeedingFilter,
+    /// The pre-seeding table this engine's partition lives in — shared
+    /// by every engine of a session, private to a standalone engine.
+    filter: Arc<FusedFilter>,
+    /// This engine's partition in `filter`.
+    part: usize,
     searcher: CamSearcher,
-    /// Rolling k-mer codes of the read being seeded, for callers that do
-    /// not precompute them (hot-path scratch: filled once per read,
-    /// indexed per pivot). The session's tile path derives each tile's
-    /// codes once and shares them across every partition engine via
-    /// [`seed_read_with_codes_into`](Self::seed_read_with_codes_into)
-    /// instead, leaving this buffer untouched.
+    /// Rolling k-mer codes of the read being seeded when no pre-seeding
+    /// stage ran for it (hot-path scratch, filled once per read).
     kmer_codes: Vec<u64>,
+    /// Surviving pivots of the read being seeded when no pre-seeding
+    /// stage ran for it (or every pivot, without the filter table).
+    survivors: Vec<Survivor>,
     /// Reusable RMEM result buffer.
     rmem_scratch: RmemResult,
     /// Filter-surviving pivots awaiting a batched RMEM (see
@@ -60,9 +65,6 @@ pub struct PartitionEngine {
     pivot_block: Vec<(usize, SearchIndicator)>,
     /// Reusable per-pivot RMEM results of the current block.
     block_results: Vec<RmemResult>,
-    /// Per-pivot indicators fetched by the batched filter pass (see
-    /// [`PreSeedingFilter::lookup_window_into`]).
-    indicators: Vec<SearchIndicator>,
     /// Whether stage spans take wall-clock timestamps (see
     /// [`crate::profile`]). Off by default: timings are nondeterministic
     /// and excluded from the bit-identity contract.
@@ -79,38 +81,47 @@ impl PartitionEngine {
     /// [`CasaConfig::validated`]).
     pub fn new(partition: &PackedSeq, config: CasaConfig) -> Result<PartitionEngine, ConfigError> {
         let config = config.validated()?;
-        Ok(PartitionEngine {
-            config,
-            filter: PreSeedingFilter::build(partition, config.filter),
-            searcher: CamSearcher::new(partition, config.filter.stride, config.filter.groups),
-            kmer_codes: Vec::new(),
-            rmem_scratch: RmemResult::default(),
-            pivot_block: Vec::new(),
-            block_results: Vec::new(),
-            indicators: Vec::new(),
-            profiling: false,
-        })
+        let filter = FusedFilter::build(&[partition], config.filter)?;
+        let cam = casa_cam::Bcam::new(partition, config.filter.stride);
+        PartitionEngine::with_fused(Arc::new(filter), 0, cam, config)
     }
 
-    /// Assembles an engine from a prebuilt filter and CAM — the zero-copy
-    /// image-loading path. Behaves exactly like [`PartitionEngine::new`]
-    /// on the same partition and config, except that no tables are
-    /// rebuilt.
+    /// Assembles an engine from a prebuilt filter and CAM. Behaves exactly
+    /// like [`PartitionEngine::new`] on the same partition and config,
+    /// except that no tables are rebuilt (the filter's tables move into
+    /// the engine).
     pub fn from_parts(
         filter: PreSeedingFilter,
         cam: casa_cam::Bcam,
         config: CasaConfig,
     ) -> Result<PartitionEngine, ConfigError> {
         let config = config.validated()?;
+        PartitionEngine::with_fused(Arc::new(FusedFilter::from_filter(filter)), 0, cam, config)
+    }
+
+    /// An engine for partition `part` of a session's shared fused table —
+    /// the session's construction path, fresh or from a mapped image.
+    pub(crate) fn with_fused(
+        filter: Arc<FusedFilter>,
+        part: usize,
+        cam: casa_cam::Bcam,
+        config: CasaConfig,
+    ) -> Result<PartitionEngine, ConfigError> {
+        let config = config.validated()?;
+        assert!(
+            part < filter.partitions(),
+            "partition {part} is not in the table"
+        );
         Ok(PartitionEngine {
             config,
             filter,
+            part,
             searcher: CamSearcher::from_cam(cam, config.filter.groups),
             kmer_codes: Vec::new(),
+            survivors: Vec::new(),
             rmem_scratch: RmemResult::default(),
             pivot_block: Vec::new(),
             block_results: Vec::new(),
-            indicators: Vec::new(),
             profiling: false,
         })
     }
@@ -141,19 +152,11 @@ impl PartitionEngine {
         self.filter.tables_shared() && self.searcher.cam().planes_shared()
     }
 
-    /// Injects seeded hardware faults into this engine's computing CAM and
-    /// filter tables, returning the chosen sites. Used by
-    /// [`SeedingSession`](crate::SeedingSession) at construction when a
-    /// fault plan is active.
-    pub fn inject_faults(
-        &mut self,
-        cam: &casa_cam::CamFaultModel,
-        filter: &casa_filter::FilterFaultModel,
-    ) -> (casa_cam::CamFaultReport, casa_filter::FilterFaultReport) {
-        (
-            self.searcher.inject_faults(cam),
-            self.filter.inject_faults(filter),
-        )
+    /// Injects seeded faults into this engine's computing CAM, returning
+    /// the chosen sites. Filter faults go into the pre-seeding table
+    /// before it is shared (see `FusedFilter::inject_faults`).
+    pub fn inject_cam_faults(&mut self, cam: &casa_cam::CamFaultModel) -> casa_cam::CamFaultReport {
+        self.searcher.inject_faults(cam)
     }
 
     /// Seeds one read against this partition. Returned SMEM hits are
@@ -169,99 +172,68 @@ impl PartitionEngine {
     }
 
     /// [`seed_read`](Self::seed_read) into a caller-owned buffer, cleared
-    /// first — the allocation-free form the session's tile path uses
-    /// end-to-end. Identical output and stats.
+    /// first. The read's pivots are looked up in this engine's partition
+    /// alone; output and stats are identical to a session's tile path,
+    /// which probes the whole reference once per pivot instead.
     pub fn seed_read_into(
         &mut self,
         read: &PackedSeq,
         stats: &mut SeedingStats,
         out: &mut Vec<Smem>,
     ) {
-        let k = self.config.filter.k;
-        if read.len() < k {
-            self.seed_read_with_codes_into(read, &[], stats, out);
-            return;
-        }
-        // Rolling k-mer codes, once per read: every pivot (and the CRkM
-        // and exact-match lookups) reads its code in O(1) instead of
-        // recomputing an O(k) `kmer_code`. The scratch is taken out of
-        // `self` for the call so the codes can be borrowed alongside the
-        // engine, then put back to keep the allocation pooled.
-        let t = StageTimer::start(self.profiling);
-        let mut codes = std::mem::take(&mut self.kmer_codes);
-        codes.clear();
-        codes.extend(read.kmers(k).map(|(_, code)| code));
-        t.stop(&mut stats.profile, Stage::KmerCodes);
-        self.seed_read_with_codes_into(read, &codes, stats, out);
-        self.kmer_codes = codes;
+        self.seed_pass(read, None, stats, out);
     }
 
-    /// [`seed_read_into`](Self::seed_read_into) with the read's rolling
-    /// k-mer codes (window `config.filter.k`, in read order, exactly as
-    /// [`PackedSeq::kmers`] produces them) already computed by the
-    /// caller. The parallel session derives each tile's codes **once**
-    /// and shares them across all partition engines, which would
-    /// otherwise each re-derive the identical values per read. Output
-    /// and statistics are bit-identical to `seed_read_into`; passing
-    /// codes that are not the read's own is a logic error.
-    pub fn seed_read_with_codes_into(
+    /// Seeds one read whose pivots the session's pre-seeding stage
+    /// already probed: `survivors` are this partition's surviving pivots
+    /// and `looked_up` the filter statistics of looking every pivot up
+    /// (see [`FusedFilter::probe_tile`]). Output and stats are identical
+    /// to [`seed_read_into`](Self::seed_read_into); the looked-up stats
+    /// are charged only when the read needs its pivots, i.e. when the
+    /// §4.3 exact-match attempt fails.
+    pub(crate) fn seed_preseeded_into(
         &mut self,
         read: &PackedSeq,
-        codes: &[u64],
+        survivors: &[Survivor],
+        looked_up: &FilterStats,
         stats: &mut SeedingStats,
         out: &mut Vec<Smem>,
     ) {
-        self.seed_read_window_into(read, codes, codes.len(), stats, out);
+        self.seed_pass(read, Some((survivors, looked_up)), stats, out);
     }
 
-    /// [`seed_read_with_codes_into`](Self::seed_read_with_codes_into) for
-    /// a read whose codes are `window[..n]`, followed by codes that are
-    /// only prefetched (see [`PreSeedingFilter::lookup_window_into`]) —
-    /// the next reads' codes when seeding a tile, so the filter pipeline
-    /// is already primed when the next read starts. The tail never
-    /// changes output or statistics.
-    pub(crate) fn seed_read_window_into(
+    /// One read pass: Algorithm 1 plus the per-read activity accounting.
+    fn seed_pass(
         &mut self,
         read: &PackedSeq,
-        window: &[u64],
-        n: usize,
+        preseeded: Option<(&[Survivor], &FilterStats)>,
         stats: &mut SeedingStats,
         out: &mut Vec<Smem>,
     ) {
         out.clear();
         stats.read_passes += 1;
-        let filter_before = self.filter.stats();
         let cam_before = self.searcher.cam().stats();
+        let mut filter = FilterStats::default();
         let mut computing_cycles = 0u64;
 
         if read.len() >= self.config.filter.k {
-            debug_assert_eq!(n, read.len() - self.config.filter.k + 1);
-            self.seed_read_body(read, window, n, stats, &mut computing_cycles, out);
+            self.seed_read_body(
+                read,
+                preseeded,
+                &mut filter,
+                stats,
+                &mut computing_cycles,
+                out,
+            );
         }
 
         stats.smems_reported += out.len() as u64;
 
         // Activity deltas -> pipeline cycle model.
-        let filter_after = self.filter.stats();
-        let lookups = filter_after.lookups - filter_before.lookups;
-        let data_reads = filter_after.data_reads - filter_before.data_reads;
-        stats.filter_ops += lookups + data_reads;
+        stats.filter_ops += filter.lookups + filter.data_reads;
         stats.computing_cycles += computing_cycles + 2;
-
+        stats.filter.merge(&filter);
         let cam_after = self.searcher.cam().stats();
-        let mut filter_delta = filter_after;
-        // store deltas, not absolutes
-        filter_delta.lookups = lookups;
-        filter_delta.mini_index_reads =
-            filter_after.mini_index_reads - filter_before.mini_index_reads;
-        filter_delta.tag_searches = filter_after.tag_searches - filter_before.tag_searches;
-        filter_delta.tag_rows_enabled =
-            filter_after.tag_rows_enabled - filter_before.tag_rows_enabled;
-        filter_delta.tag_physical_rows =
-            filter_after.tag_physical_rows - filter_before.tag_physical_rows;
-        filter_delta.data_reads = data_reads;
-        filter_delta.hits = filter_after.hits - filter_before.hits;
-        stats.filter.merge(&filter_delta);
         stats.cam.merge(&casa_cam::CamStats {
             searches: cam_after.searches - cam_before.searches,
             rows_enabled: cam_after.rows_enabled - cam_before.rows_enabled,
@@ -275,37 +247,72 @@ impl PartitionEngine {
         stats.dram_bytes += out.iter().map(|s| 8 + 4 * s.hits.len() as u64).sum::<u64>();
     }
 
-    /// Algorithm 1 proper: the pivot loop with all ablation switches, the
-    /// §4.3 exact-match attempt, and the batched pre-seeding pass.
+    /// This pass's surviving pivots, without a pre-seeding stage: every
+    /// pivot's k-mer looked up once in this partition, as the paper's
+    /// pre-seeding stage does before the computing stage sees it.
+    fn own_survivors(
+        &mut self,
+        read: &PackedSeq,
+        out: &mut Vec<Survivor>,
+        filter: &mut FilterStats,
+        stats: &mut SeedingStats,
+    ) {
+        let k = self.config.filter.k;
+        let t = StageTimer::start(self.profiling);
+        self.kmer_codes.clear();
+        self.kmer_codes.extend(read.kmers(k).map(|(_, code)| code));
+        t.stop(&mut stats.profile, Stage::KmerCodes);
+        let t = StageTimer::start(self.profiling);
+        self.filter
+            .survivors_into(self.part, &self.kmer_codes, out, filter);
+        t.stop(&mut stats.profile, Stage::FilterLookup);
+    }
+
+    /// Algorithm 1 proper: the §4.3 exact-match attempt, then the pivot
+    /// loop over the filter's survivors with all ablation switches.
     fn seed_read_body(
         &mut self,
         read: &PackedSeq,
-        window: &[u64],
-        n: usize,
+        preseeded: Option<(&[Survivor], &FilterStats)>,
+        filter: &mut FilterStats,
         stats: &mut SeedingStats,
         computing_cycles: &mut u64,
         out: &mut Vec<Smem>,
     ) {
         let k = self.config.filter.k;
-        let codes = &window[..n];
 
         if self.config.exact_match_preprocessing
-            && self.try_exact_match_into(read, codes, stats, computing_cycles, out)
+            && self.try_exact_match_into(read, filter, stats, computing_cycles, out)
         {
             stats.exact_match_reads += 1;
             return;
         }
 
-        // Batched pre-seeding: fetch every pivot's indicator in one
-        // memory-level-parallel pass before the pivot loop starts. Every
-        // pivot's k-mer is looked up exactly once, as the paper's
-        // pre-seeding stage does before the computing stage sees it.
-        if self.config.use_filter_table {
-            let t = StageTimer::start(self.profiling);
-            self.filter
-                .lookup_window_into(window, n, &mut self.indicators);
-            t.stop(&mut stats.profile, Stage::FilterLookup);
-        }
+        let pivot_count = read.len() - k + 1;
+        // The scratch is taken out of `self` so the survivors can be
+        // borrowed alongside the engine, then put back to keep the
+        // allocation pooled.
+        let mut own = std::mem::take(&mut self.survivors);
+        let live: &[Survivor] = match preseeded {
+            Some((survivors, looked_up)) if self.config.use_filter_table => {
+                filter.merge(looked_up);
+                survivors
+            }
+            _ => {
+                if self.config.use_filter_table {
+                    self.own_survivors(read, &mut own, filter, stats);
+                } else {
+                    let full = self.searcher.full_indicator();
+                    own.clear();
+                    own.extend((0..pivot_count).map(|p| Survivor::new(p, full)));
+                }
+                &own
+            }
+        };
+        // Pivots that are not survivors died in the pre-seeding stage; the
+        // computing controller never sees them.
+        stats.pivots_total += pivot_count as u64;
+        stats.pivots_filtered_table += (pivot_count - live.len()) as u64;
 
         // (start, end) of the last non-contained RMEM.
         let mut last: Option<(usize, usize)> = None;
@@ -330,21 +337,8 @@ impl PartitionEngine {
         let inner_before = stats.profile.total_nanos();
         let loop_timer = StageTimer::start(self.profiling);
 
-        let pivot_count = read.len() - k + 1;
-        stats.pivots_total += pivot_count as u64;
-        for pivot in 0..pivot_count {
-            let si = if self.config.use_filter_table {
-                let si = self.indicators[pivot];
-                if si.is_empty() {
-                    // Dies in the pre-seeding stage; the computing
-                    // controller never sees this pivot.
-                    stats.pivots_filtered_table += 1;
-                    continue;
-                }
-                si
-            } else {
-                self.searcher.full_indicator()
-            };
+        for survivor in live {
+            let (pivot, si) = (survivor.pivot(), survivor.indicator());
             *computing_cycles += PIVOT_CHECK_CYCLES;
 
             if let Some((_start, end)) = last {
@@ -364,10 +358,13 @@ impl PartitionEngine {
                         Some((s, si)) if s == crkm_start => si,
                         _ => {
                             // Deliberately a fresh lookup, not a reuse of
-                            // the batched indicator: the CRkM check is its
+                            // the pivot's survivor: the CRkM check is its
                             // own filter access in the published counts.
                             let t = StageTimer::start(self.profiling);
-                            let si = self.filter.lookup_code(codes[crkm_start]);
+                            let code = read
+                                .kmer_code(crkm_start, k)
+                                .expect("the CRkM starts at a pivot");
+                            let si = self.filter.lookup_code(self.part, code, filter);
                             t.stop(&mut stats.profile, Stage::FilterLookup);
                             crkm = Some((crkm_start, si));
                             si
@@ -393,6 +390,7 @@ impl PartitionEngine {
             }
         }
         self.flush_pivot_block(read, out, &mut last, stats, computing_cycles);
+        self.survivors = own;
 
         if loop_timer.enabled() {
             let inner = stats.profile.total_nanos() - inner_before;
@@ -462,20 +460,16 @@ impl PartitionEngine {
     fn try_exact_match_into(
         &mut self,
         read: &PackedSeq,
-        codes: &[u64],
+        filter: &mut FilterStats,
         stats: &mut SeedingStats,
         cycles: &mut u64,
         out: &mut Vec<Smem>,
     ) -> bool {
-        let (k, m) = (self.config.filter.k, self.config.filter.m);
+        let m = self.config.filter.m;
         if read.len() < self.config.min_smem_len {
             return false;
         }
-        // Sample up to four spread, non-overlapping m-mers. Their codes are
-        // sliced out of the rolling k-mer codes (MSB-first): the m-mer at
-        // `off` sits `off - q` bases into the k-mer at `q`, where `q`
-        // clamps `off` so a full k-mer fits.
-        let mmask = (1u64 << (2 * m)) - 1;
+        // Sample up to four spread, non-overlapping m-mers.
         let last = read.len() - m;
         let offsets = [0usize, last / 3, 2 * last / 3, last];
         let mut first: Option<SearchIndicator> = None;
@@ -488,9 +482,10 @@ impl PartitionEngine {
             }
             prev = off;
             *cycles += 1;
-            let q = off.min(read.len() - k);
-            let shift = 2 * (k - (off - q) - m);
-            let si = self.filter.lookup_mmer_code((codes[q] >> shift) & mmask);
+            let code = read
+                .kmer_code(off, m)
+                .expect("the m-mer lies inside the read");
+            let si = self.filter.lookup_mmer_code(self.part, code, filter);
             if si.is_empty() {
                 consistent = false; // read cannot match this partition exactly
                 break;

@@ -64,6 +64,16 @@ pub enum ConfigError {
         /// Why it was rejected, in human-readable form.
         reason: &'static str,
     },
+    /// The reference splits into more partitions than the fused
+    /// pre-seeding table can name beside a restmer of this geometry
+    /// (`2 (k − m)` restmer bits plus the partition id must fit its
+    /// 32-bit tag word).
+    TooManyPartitions {
+        /// Partitions the reference splits into.
+        partitions: usize,
+        /// The most this geometry allows.
+        max: usize,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -95,6 +105,11 @@ impl fmt::Display for ConfigError {
                      (expected one of: cam, fm, ert)"
                 )
             }
+            ConfigError::TooManyPartitions { partitions, max } => write!(
+                f,
+                "{partitions} partitions exceed the {max} the pre-seeding filter can name \
+                 at this k and m (use longer partitions or a larger m)"
+            ),
         }
     }
 }
@@ -106,6 +121,15 @@ impl From<crate::backend::UnknownBackendError> for ConfigError {
         ConfigError::UnknownSeedingBackend {
             value: e.value,
             reason: e.reason,
+        }
+    }
+}
+
+impl From<casa_filter::TooManyPartitions> for ConfigError {
+    fn from(e: casa_filter::TooManyPartitions) -> ConfigError {
+        ConfigError::TooManyPartitions {
+            partitions: e.partitions,
+            max: e.max,
         }
     }
 }

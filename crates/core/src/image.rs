@@ -5,9 +5,9 @@
 //! versioned, checksummed sections) without knowing what the sections
 //! mean. This module supplies the semantics: [`build_index_image`]
 //! constructs every reference-side array exactly as a fresh
-//! [`SeedingSession`](crate::SeedingSession) would — per-partition
-//! pre-seeding filter tables, CAM entry bitplanes, golden suffix
-//! arrays — and packs them plus the 2-bit reference text and the
+//! [`SeedingSession`](crate::SeedingSession) would — the reference-wide
+//! pre-seeding table, per-partition CAM entry bitplanes and golden
+//! suffix arrays — and packs them plus the 2-bit reference text and the
 //! serialized [`CasaConfig`] into one image. [`LoadedIndex::open`] mmaps
 //! an image and re-derives the session inputs with **no table rebuild**:
 //! the CAM planes, filter tables and suffix arrays are borrowed straight
@@ -32,15 +32,13 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use casa_cam::Bcam;
-use casa_filter::PreSeedingFilter;
+use casa_filter::FusedFilter;
 use casa_genome::{PackedSeq, Partition};
 use casa_index::image::{ImageBuilder, ImageError, IndexImage, SectionKind};
 use casa_index::SuffixArray;
 use serde_json::{json, Value};
 
-use crate::backend::{build_backend, BackendKind, SeedingBackend};
-use crate::engine::PartitionEngine;
-use crate::{CasaConfig, Error};
+use crate::{CasaConfig, ConfigError, Error};
 
 /// Typed failure modes of building or loading an index image.
 #[derive(Debug)]
@@ -106,9 +104,8 @@ pub struct ImageBuildReport {
 /// writes them as one index image at `path` (atomically).
 ///
 /// The arrays are constructed with the same code paths a fresh session
-/// uses (`PreSeedingFilter::build`, `Bcam::new`, `SuffixArray::build`),
-/// so a session loaded from the image is bit-identical to one built
-/// directly.
+/// uses (`FusedFilter::build`, `Bcam::new`, `SuffixArray::build`), so a
+/// session loaded from the image is bit-identical to one built directly.
 pub fn build_index_image(
     reference: &PackedSeq,
     config: CasaConfig,
@@ -129,15 +126,18 @@ pub fn build_index_image(
         &reference.to_packed_bytes(),
         reference.len() as u64,
     );
+    let seqs: Vec<&PackedSeq> = partitions.iter().map(|p| &p.seq).collect();
+    let filter = FusedFilter::build(&seqs, config.filter)
+        .map_err(|e| IndexImageError::Config(ConfigError::from(e).to_string()))?;
+    builder.add_u32s(SectionKind::FilterRows, 0, filter.rows());
+    builder.add_u32s(SectionKind::FilterTag, 0, filter.tag());
+    builder.add_u64s(SectionKind::FilterData, 0, &filter.data_words());
+    drop(filter);
     for p in &partitions {
         let pi = p.index as u32;
-        let filter = PreSeedingFilter::build(&p.seq, config.filter);
         let cam = Bcam::new(&p.seq, config.filter.stride);
         let sa = SuffixArray::build(&p.seq);
         builder.add_u64s(SectionKind::CamPlanes, pi, cam.planes());
-        builder.add_u32s(SectionKind::FilterMini, pi, filter.mini_index());
-        builder.add_u32s(SectionKind::FilterTag, pi, filter.tag());
-        builder.add_u64s(SectionKind::FilterData, pi, &filter.data_words());
         builder.add_u32s(SectionKind::Sa, pi, sa.sa());
     }
     let fingerprint = builder.write_file(path)?;
@@ -243,50 +243,42 @@ impl LoadedIndex {
         self.elapsed
     }
 
-    /// Builds one partition's seeding backend from the image.
-    ///
-    /// The CAM backend borrows its planes and filter tables from the
-    /// mapping (zero-copy); the FM/ERT software baselines rebuild from
-    /// the partition sequence, keeping the bit-identity contract.
-    pub(crate) fn backend_for_partition(
-        &self,
-        kind: BackendKind,
-        p: &Partition,
-        config: CasaConfig,
-    ) -> Result<Box<dyn SeedingBackend>, Error> {
-        if kind != BackendKind::Cam {
-            return build_backend(kind, &p.seq, config).map_err(Error::Config);
-        }
-        let pi = p.index as u32;
-        let mini = self
+    /// The reference-wide pre-seeding table, borrowed from the mapping
+    /// (shape-checked against `parts`; see
+    /// [`FusedFilter::from_shared_parts`]).
+    pub(crate) fn fused_filter(&self, parts: &[Partition]) -> Result<FusedFilter, Error> {
+        let rows = self
             .image
-            .u32_view(SectionKind::FilterMini, pi)
-            .ok_or_else(|| missing("filter mini-index", p.index))?;
+            .u32_view(SectionKind::FilterRows, 0)
+            .ok_or_else(|| missing("pre-seeding rows"))?;
         let tag = self
             .image
-            .u32_view(SectionKind::FilterTag, pi)
-            .ok_or_else(|| missing("filter tag array", p.index))?;
+            .u32_view(SectionKind::FilterTag, 0)
+            .ok_or_else(|| missing("pre-seeding tag array"))?;
         let data = self
             .image
-            .u64_view(SectionKind::FilterData, pi)
-            .ok_or_else(|| missing("filter data array", p.index))?;
+            .u64_view(SectionKind::FilterData, 0)
+            .ok_or_else(|| missing("pre-seeding data array"))?;
+        let lens: Vec<usize> = parts.iter().map(|p| p.seq.len()).collect();
+        FusedFilter::from_shared_parts(self.config.filter, &lens, rows, tag, data).map_err(|what| {
+            Error::Image {
+                what: what.to_string(),
+            }
+        })
+    }
+
+    /// One partition's computing CAM, its planes borrowed from the
+    /// mapping.
+    pub(crate) fn cam_for_partition(&self, p: &Partition) -> Result<Bcam, Error> {
         let planes = self
             .image
-            .u64_view(SectionKind::CamPlanes, pi)
-            .ok_or_else(|| missing("CAM planes", p.index))?;
-        let filter =
-            PreSeedingFilter::from_shared_parts(config.filter, mini, tag, data, p.seq.len())
-                .map_err(|what| Error::Image {
-                    what: format!("partition {}: {what}", p.index),
-                })?;
-        let cam =
-            Bcam::from_shared_planes(&p.seq, config.filter.stride, planes).map_err(|what| {
-                Error::Image {
-                    what: format!("partition {}: {what}", p.index),
-                }
-            })?;
-        let engine = PartitionEngine::from_parts(filter, cam, config).map_err(Error::Config)?;
-        Ok(Box::new(engine))
+            .u64_view(SectionKind::CamPlanes, p.index as u32)
+            .ok_or_else(|| missing(&format!("partition {} CAM planes", p.index)))?;
+        Bcam::from_shared_planes(&p.seq, self.config.filter.stride, planes).map_err(|what| {
+            Error::Image {
+                what: format!("partition {}: {what}", p.index),
+            }
+        })
     }
 
     /// The partition's golden suffix array, borrowed from the mapping if
@@ -300,9 +292,9 @@ impl LoadedIndex {
     }
 }
 
-fn missing(what: &'static str, partition: usize) -> Error {
+fn missing(what: &str) -> Error {
     Error::Image {
-        what: format!("partition {partition}: image has no {what} section"),
+        what: format!("image has no {what} section"),
     }
 }
 
@@ -472,29 +464,25 @@ mod tests {
         build_index_image(&reference, config, &path).unwrap();
         let loaded = LoadedIndex::open(&path).unwrap();
 
-        // The CAM backend really borrows from the mapping.
-        let parts = config.partitioning.split(&reference);
-        let backend = loaded
-            .backend_for_partition(BackendKind::Cam, &parts[0], config)
-            .unwrap();
-        assert!(backend.storage_shared(), "CAM backend must be zero-copy");
-
         let reads: Vec<PackedSeq> = (0..8).map(|i| reference.subseq(i * 400, 80)).collect();
         let fresh = crate::SeedingSession::with_backend(
             &reference,
             config,
             2,
             crate::FaultPlan::default(),
-            BackendKind::Cam,
+            crate::BackendKind::Cam,
         )
         .unwrap();
         let mapped = crate::SeedingSession::from_image(
             &loaded,
             2,
             crate::FaultPlan::default(),
-            BackendKind::Cam,
+            crate::BackendKind::Cam,
         )
         .unwrap();
+        // The CAM backend really borrows from the mapping.
+        assert!(mapped.storage_shared(), "CAM backend must be zero-copy");
+        assert!(!fresh.storage_shared());
         assert_eq!(
             fresh.seed_reads(&reads).smems,
             mapped.seed_reads(&reads).smems
@@ -506,7 +494,7 @@ mod tests {
             &loaded,
             1,
             crate::FaultPlan::default(),
-            BackendKind::Fm,
+            crate::BackendKind::Fm,
         )
         .unwrap();
         assert_eq!(fresh.seed_reads(&reads).smems, fm.seed_reads(&reads).smems);

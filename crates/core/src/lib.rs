@@ -48,6 +48,7 @@ pub mod faults;
 pub mod image;
 pub mod logging;
 pub mod pipeline_sim;
+mod preseed;
 pub mod profile;
 pub mod rmem;
 pub mod serve;
@@ -57,8 +58,7 @@ pub mod stream;
 
 pub use accelerator::{seed_reads_serial, CasaRun, StrandedRun};
 pub use backend::{
-    BackendKind, ErtBackend, FmBackend, SeedingBackend, TileKmerCodes, UnknownBackendError,
-    BACKEND_ENV,
+    BackendKind, ErtBackend, FmBackend, SeedingBackend, UnknownBackendError, BACKEND_ENV,
 };
 pub use config::{CasaConfig, CasaConfigBuilder};
 pub use energy_model::CasaHardwareModel;

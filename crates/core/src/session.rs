@@ -56,17 +56,22 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Duration;
 
+use casa_cam::Bcam;
+use casa_filter::{FusedFilter, PartSurvivors};
 use casa_genome::{PackedSeq, Partition};
 use casa_index::smem::{merge_flat_smems, merge_partition_smems, smems_unidirectional};
 use casa_index::{Smem, SuffixArray};
 
 use crate::accelerator::{CasaRun, StrandedRun};
-use crate::backend::{build_backend, BackendKind, SeedingBackend, TileKmerCodes};
-use crate::error::Error;
+use crate::backend::{build_backend, BackendKind, SeedingBackend};
+use crate::engine::PartitionEngine;
+use crate::error::{ConfigError, Error};
 use crate::faults::{self, FaultPlan, FaultSites, InjectedFault};
+use crate::image::LoadedIndex;
+use crate::preseed::TileStage;
 use crate::profile::{Stage, StageTimer};
 use crate::stats::SeedingStats;
-use crate::stream::supervisor::{self, GuardedOutcome};
+use crate::stream::supervisor::{self, AttemptClock, DeadlineClock, GuardedOutcome};
 use crate::stream::CancelToken;
 use crate::CasaConfig;
 
@@ -127,6 +132,11 @@ pub struct SeedingSession {
     parts: Arc<Vec<Partition>>,
     backend: BackendKind,
     engines: Arc<Vec<Mutex<Box<dyn SeedingBackend>>>>,
+    /// The reference-wide pre-seeding table the per-tile stage probes
+    /// (see [`crate::preseed`]); `None` when no stage runs (software
+    /// backends, or the filter table switched off). The CAM engines hold
+    /// the same table for their own per-partition lookups.
+    preseed: Option<Arc<FusedFilter>>,
     /// Lazily built golden suffix arrays, one per partition.
     golden: Arc<Vec<OnceLock<SuffixArray>>>,
     /// Partitions routed to the golden model after retry exhaustion.
@@ -137,6 +147,8 @@ pub struct SeedingSession {
     /// Watchdog deadline per tile attempt; `None` (the default) runs
     /// attempts unguarded on the worker thread.
     tile_deadline: Option<Duration>,
+    /// What the deadline is measured against (wall clock by default).
+    deadline_clock: DeadlineClock,
     /// Cooperative cancellation for in-flight batches, checked at tile
     /// boundaries; `None` (the default) never cancels. Clones share the
     /// token, so the watchdog's owned session copy observes it too.
@@ -212,14 +224,18 @@ impl SeedingSession {
 
     /// Like [`with_fault_plan`](Self::with_fault_plan) with an explicit
     /// seeding backend, ignoring the [`CASA_BACKEND`](crate::BACKEND_ENV)
-    /// environment variable. Hardware faults are injected through the
-    /// backend's [`inject_faults`](SeedingBackend::inject_faults) hook —
-    /// a no-op on the software backends, which have no CAM lines or
-    /// filter tables to corrupt (scheduler faults still apply).
+    /// environment variable. The CAM backend builds one pre-seeding
+    /// table for the whole reference; filter faults are injected into it
+    /// before it is shared, CAM faults through each backend's
+    /// [`inject_cam_faults`](SeedingBackend::inject_cam_faults) hook — a
+    /// no-op on the software backends, which have no CAM lines or filter
+    /// tables to corrupt (scheduler faults still apply).
     ///
     /// # Errors
     ///
-    /// As [`with_fault_plan`](Self::with_fault_plan).
+    /// As [`with_fault_plan`](Self::with_fault_plan), plus
+    /// [`ConfigError::TooManyPartitions`] when the reference splits into
+    /// more partitions than the pre-seeding table's tag word can name.
     pub fn with_backend(
         reference: &PackedSeq,
         config: CasaConfig,
@@ -227,21 +243,13 @@ impl SeedingSession {
         plan: FaultPlan,
         backend: BackendKind,
     ) -> Result<SeedingSession, Error> {
-        SeedingSession::assemble(
-            reference,
-            config,
-            workers,
-            plan,
-            backend,
-            |p, config| Ok(build_backend(backend, &p.seq, config)?),
-            |_| None,
-        )
+        SeedingSession::assemble(reference, config, workers, plan, backend, None)
     }
 
     /// Builds a session from a loaded index image instead of from scratch.
     ///
     /// For the CAM backend every reference-side array — CAM entry
-    /// bitplanes, pre-seeding filter tables, golden suffix arrays — is
+    /// bitplanes, the pre-seeding table, golden suffix arrays — is
     /// borrowed straight from the image's read-only mapping: no table is
     /// rebuilt and no per-load copy is made, so construction cost is
     /// partition splitting plus page faults. The FM/ERT software baselines
@@ -261,7 +269,7 @@ impl SeedingSession {
     /// As [`with_backend`](Self::with_backend), plus [`Error::Image`] if a
     /// section the CAM backend needs is missing or shaped wrong.
     pub fn from_image(
-        index: &crate::image::LoadedIndex,
+        index: &LoadedIndex,
         workers: usize,
         plan: FaultPlan,
         backend: BackendKind,
@@ -272,26 +280,24 @@ impl SeedingSession {
             workers,
             plan,
             backend,
-            |p, config| index.backend_for_partition(backend, p, config),
-            |p| index.suffix_array_for_partition(p),
+            Some(index),
         )
     }
 
     /// The one assembly path behind [`with_backend`](Self::with_backend)
-    /// and [`from_image`](Self::from_image), which differ only in where
-    /// each partition's engine (`engine_for`) and prebuilt golden suffix
-    /// array (`golden_for`; `None` builds it lazily on first fallback)
-    /// come from. Validates the knobs, splits `reference`, injects the
-    /// plan's hardware faults into the engines and arms the quarantine
-    /// state.
+    /// and [`from_image`](Self::from_image), which differ only in whether
+    /// the CAM backend's tables are built or borrowed from `index`.
+    /// Validates the knobs, splits `reference`, builds (or maps) one
+    /// pre-seeding table for the whole reference, injects the plan's
+    /// filter faults into it before it is shared and its CAM faults into
+    /// the engines, and arms the quarantine state.
     fn assemble(
         reference: &PackedSeq,
         config: CasaConfig,
         workers: usize,
         plan: FaultPlan,
         backend: BackendKind,
-        engine_for: impl Fn(&Partition, CasaConfig) -> Result<Box<dyn SeedingBackend>, Error>,
-        golden_for: impl Fn(&Partition) -> Option<SuffixArray>,
+        index: Option<&LoadedIndex>,
     ) -> Result<SeedingSession, Error> {
         if workers == 0 {
             return Err(Error::ZeroWorkers);
@@ -303,23 +309,58 @@ impl SeedingSession {
             return Err(Error::EmptyReference);
         }
         let part_starts = partitions.iter().map(|p| p.start as u32).collect();
+        let (mut fused, cams) = match (backend, index) {
+            (BackendKind::Cam, Some(index)) => {
+                let cams = partitions
+                    .iter()
+                    .map(|p| index.cam_for_partition(p))
+                    .collect::<Result<Vec<_>, _>>()?;
+                (Some(index.fused_filter(&partitions)?), cams)
+            }
+            (BackendKind::Cam, None) => {
+                let (filter, cams) = build_cam_tables(&partitions, config, workers);
+                (Some(filter.map_err(ConfigError::from)?), cams)
+            }
+            _ => (None, Vec::new()),
+        };
+        let mut fault_sites = FaultSites::default();
+        for pi in 0..partitions.len() {
+            fault_sites.filter.push(match fused.as_mut() {
+                Some(filter) => filter.inject_faults(pi, &plan.filter_faults_for(pi)),
+                None => Default::default(),
+            });
+        }
+        let fused = fused.map(Arc::new);
+        let mut cams = cams.into_iter();
         let mut engines = partitions
             .iter()
-            .map(|p| engine_for(p, config))
+            .map(|p| -> Result<Box<dyn SeedingBackend>, Error> {
+                match (&fused, cams.next()) {
+                    (Some(filter), Some(cam)) => Ok(Box::new(PartitionEngine::with_fused(
+                        Arc::clone(filter),
+                        p.index,
+                        cam,
+                        config,
+                    )?)),
+                    _ => Ok(build_backend(backend, &p.seq, config)?),
+                }
+            })
             .collect::<Result<Vec<_>, _>>()?;
-        let mut fault_sites = FaultSites::default();
         for (pi, engine) in engines.iter_mut().enumerate() {
-            let (cam, filter) =
-                engine.inject_faults(&plan.cam_faults_for(pi), &plan.filter_faults_for(pi));
-            fault_sites.cam.push(cam);
-            fault_sites.filter.push(filter);
+            fault_sites
+                .cam
+                .push(engine.inject_cam_faults(&plan.cam_faults_for(pi)));
         }
         if plan.tile_panic_rate > 0.0 {
             faults::silence_injected_panics();
         }
         let golden = partitions
             .iter()
-            .map(|p| golden_for(p).map_or_else(OnceLock::new, OnceLock::from))
+            .map(|p| {
+                index
+                    .and_then(|index| index.suffix_array_for_partition(p))
+                    .map_or_else(OnceLock::new, OnceLock::from)
+            })
             .collect();
         let nparts = partitions.len();
         Ok(SeedingSession {
@@ -328,12 +369,14 @@ impl SeedingSession {
             parts: Arc::new(partitions),
             backend,
             engines: Arc::new(engines.into_iter().map(Mutex::new).collect()),
+            preseed: fused.filter(|_| config.use_filter_table),
             golden: Arc::new(golden),
             quarantined: Arc::new((0..nparts).map(|_| AtomicBool::new(false)).collect()),
             plan,
             fault_sites: Arc::new(fault_sites),
             workers,
             tile_deadline: None,
+            deadline_clock: DeadlineClock::Wall,
             cancel: None,
             profiling: Arc::new(AtomicBool::new(false)),
         })
@@ -373,6 +416,15 @@ impl SeedingSession {
     /// The active watchdog deadline, if any.
     pub fn tile_deadline(&self) -> Option<Duration> {
         self.tile_deadline
+    }
+
+    /// Measures the watchdog deadline on injected stall time only (see
+    /// [`DeadlineClock::Injected`]), so tests can assert exactly which
+    /// attempts time out.
+    #[cfg(test)]
+    fn with_injected_deadline_clock(mut self) -> SeedingSession {
+        self.deadline_clock = DeadlineClock::Injected;
+        self
     }
 
     /// Sets (or clears) a cooperative cancellation token for this
@@ -451,6 +503,16 @@ impl SeedingSession {
         Ok(())
     }
 
+    /// Whether every partition's reference-side arrays are borrowed from
+    /// a mapped index image (see
+    /// [`SeedingBackend::storage_shared`]); `false` for the software
+    /// backends and after fault injection detached a table.
+    pub fn storage_shared(&self) -> bool {
+        self.engines
+            .iter()
+            .all(|engine| lock_recover(engine).storage_shared())
+    }
+
     /// Number of partitions currently quarantined to the golden model.
     pub fn quarantined_count(&self) -> usize {
         self.quarantined
@@ -487,20 +549,23 @@ impl SeedingSession {
     }
 
     /// One attempt at a (partition, tile) job: inject any scheduled
-    /// stall/panic, seed the tile through the partition engine, then
+    /// stall/panic, seed the tile through the partition engine (from the
+    /// pre-seeding stage's survivors when `pre` carries them), then
     /// cross-check the sampled reads against the golden model.
+    #[allow(clippy::too_many_arguments)]
     fn attempt_tile(
         &self,
         pi: usize,
         ti: usize,
         attempt: usize,
         tile: &[PackedSeq],
-        codes: Option<&TileKmerCodes>,
+        pre: Option<&PartSurvivors>,
         read_offset: usize,
+        clock: &AttemptClock,
     ) -> Result<(Vec<Vec<Smem>>, SeedingStats), CrossCheckMismatch> {
         if !self.plan.is_noop() {
             if self.plan.should_stall(pi, ti, attempt) {
-                std::thread::sleep(self.plan.stall_duration());
+                clock.stall(self.plan.stall_duration());
             }
             if self.plan.should_panic(pi, ti, attempt) {
                 // Fires before the engine lock is taken, so injected
@@ -517,12 +582,8 @@ impl SeedingSession {
         let mut out: Vec<Vec<Smem>> = Vec::with_capacity(tile.len());
         {
             let mut engine = lock_recover(&self.engines[pi]);
-            match codes {
-                // The batch precomputed this tile's rolling k-mer codes
-                // once; every partition engine consumes the same slice
-                // instead of re-deriving it (output and stats are
-                // bit-identical either way).
-                Some(codes) => engine.seed_tile_with_codes_into(tile, codes, &mut stats, &mut out),
+            match pre {
+                Some(pre) => engine.seed_tile_preseeded_into(tile, pre, &mut stats, &mut out),
                 None => engine.seed_tile_into(tile, &mut stats, &mut out),
             }
         }
@@ -558,12 +619,13 @@ impl SeedingSession {
         ti: usize,
         attempt: usize,
         tile: &[PackedSeq],
-        codes: Option<&TileKmerCodes>,
+        pre: Option<&PartSurvivors>,
         read_offset: usize,
     ) -> AttemptOutcome {
+        let clock = AttemptClock::start(self.deadline_clock);
         match self.tile_deadline {
             None => match catch_unwind(AssertUnwindSafe(|| {
-                self.attempt_tile(pi, ti, attempt, tile, codes, read_offset)
+                self.attempt_tile(pi, ti, attempt, tile, pre, read_offset, &clock)
             })) {
                 Ok(Ok((out, stats))) => AttemptOutcome::Done(out, Box::new(stats)),
                 Ok(Err(CrossCheckMismatch)) => AttemptOutcome::Mismatch,
@@ -575,15 +637,20 @@ impl SeedingSession {
                 // clone (shared `Arc`s) and the tile's reads. An abandoned
                 // attempt may still advance an engine's cumulative
                 // counters, which the delta-based accounting tolerates
-                // (see the module docs). The shared codes are dropped
-                // rather than cloned — the engine re-derives them, with
-                // bit-identical output and stats — so the supervised path
-                // never copies a whole tile's code table per attempt.
+                // (see the module docs). A session with a deadline runs
+                // no pre-seeding stage: the engine looks the pivots up in
+                // its own partition, with bit-identical output and stats.
                 let session = self.clone();
                 let tile = tile.to_vec();
-                match supervisor::run_with_deadline(deadline, self.cancel.as_ref(), move || {
-                    session.attempt_tile(pi, ti, attempt, &tile, None, read_offset)
-                }) {
+                let job_clock = clock.clone();
+                match supervisor::run_with_deadline(
+                    deadline,
+                    self.cancel.as_ref(),
+                    &clock,
+                    move || {
+                        session.attempt_tile(pi, ti, attempt, &tile, None, read_offset, &job_clock)
+                    },
+                ) {
                     GuardedOutcome::Completed(Ok((out, stats))) => {
                         AttemptOutcome::Done(out, Box::new(stats))
                     }
@@ -606,7 +673,7 @@ impl SeedingSession {
         pi: usize,
         ti: usize,
         tile: &[PackedSeq],
-        codes: Option<&TileKmerCodes>,
+        pre: Option<&PartSurvivors>,
         read_offset: usize,
         stats: &mut SeedingStats,
     ) -> Vec<Vec<Smem>> {
@@ -623,7 +690,7 @@ impl SeedingSession {
                 // attempts and go straight to the fallback.
                 break;
             }
-            match self.guarded_attempt(pi, ti, attempt, tile, codes, read_offset) {
+            match self.guarded_attempt(pi, ti, attempt, tile, pre, read_offset) {
                 AttemptOutcome::Done(out, attempt_stats) => {
                     stats.merge(&attempt_stats);
                     return out;
@@ -661,6 +728,24 @@ impl SeedingSession {
         }
         stats.fallback_reads += tile.len() as u64;
         tile.iter().map(|read| self.golden_read(pi, read)).collect()
+    }
+
+    /// Tile `ti`'s pre-seeding stage, run by whichever worker gets here
+    /// first (the others wait for it); `None` when the session runs no
+    /// stage or the stage panicked, in which case the engines look the
+    /// pivots up themselves. The stage's spans are booked into `stats`.
+    fn tile_stage<'a>(
+        &self,
+        stages: &'a [OnceLock<TileStage>],
+        ti: usize,
+        tile: &[PackedSeq],
+        stats: &mut SeedingStats,
+    ) -> Option<&'a TileStage> {
+        let (cell, filter) = (stages.get(ti)?, self.preseed.as_deref()?);
+        catch_unwind(AssertUnwindSafe(|| {
+            cell.get_or_init(|| TileStage::run(filter, tile, &mut stats.profile, self.profiling()))
+        }))
+        .ok()
     }
 
     /// Seeds a read batch against every partition and merges the results.
@@ -704,35 +789,28 @@ impl SeedingSession {
         let nparts = self.engines.len();
         let tile_len = self.tile_len(reads.len());
         let ntiles = reads.len().div_ceil(tile_len);
-        let njobs = nparts * ntiles;
 
-        // Rolling k-mer codes, once per tile: every partition engine
-        // consumes the identical code sequence for the identical reads,
-        // so deriving them inside each (partition, tile) job would
-        // multiply the extraction work by the partition count. Software
-        // backends never read codes — skip the precomputation entirely.
-        let mut precomputed = crate::StageProfile::default();
-        let tile_codes: Vec<TileKmerCodes> = if self.backend == BackendKind::Cam {
-            let t = StageTimer::start(self.profiling());
-            let k = self.config.filter.k;
-            let codes = (0..ntiles)
-                .map(|ti| {
-                    let tile = &reads[ti * tile_len..((ti + 1) * tile_len).min(reads.len())];
-                    TileKmerCodes::compute(tile, k)
-                })
-                .collect();
-            t.stop(&mut precomputed, Stage::KmerCodes);
-            codes
-        } else {
-            Vec::new()
+        let tile_of = |ti: usize| &reads[ti * tile_len..((ti + 1) * tile_len).min(reads.len())];
+
+        // One pre-seeding stage per tile (see `crate::preseed`), when the
+        // session runs one. Watchdog-supervised attempts drop the stage's
+        // output, so a session with a tile deadline runs none.
+        let stages: Vec<OnceLock<TileStage>> = match (&self.preseed, self.tile_deadline) {
+            (Some(_), None) => (0..ntiles).map(|_| OnceLock::new()).collect(),
+            _ => Vec::new(),
         };
 
         // One slot per (partition, tile) job; workers claim job ids off a
-        // shared counter. Job ids are tile-major (`ti * nparts + pi`) so
-        // consecutive claims hit different partition engines and rarely
-        // contend on the same lock.
+        // shared counter. Ids run in blocks of `nparts + 1`: block `b`
+        // opens with tile `b`'s stage and goes on with tile `b - 1`'s
+        // partition jobs, so each stage runs while the previous tile is
+        // seeded and is usually ready before its own partition jobs are
+        // claimed. Inside a block, consecutive claims hit different
+        // partition engines and rarely contend on the same lock.
         let slots: Vec<Mutex<Option<Vec<Vec<Smem>>>>> =
-            (0..njobs).map(|_| Mutex::new(None)).collect();
+            (0..ntiles * nparts).map(|_| Mutex::new(None)).collect();
+        let block = nparts + 1;
+        let njobs = (ntiles + 1) * block;
         let next_job = AtomicUsize::new(0);
         let merged_stats = Mutex::new(SeedingStats::default());
 
@@ -744,11 +822,25 @@ impl SeedingSession {
             if job >= njobs {
                 break;
             }
-            let pi = job % nparts;
-            let ti = job / nparts;
-            let tile = &reads[ti * tile_len..((ti + 1) * tile_len).min(reads.len())];
-            let out = self.run_tile(pi, ti, tile, tile_codes.get(ti), ti * tile_len, local_stats);
-            *lock_recover(&slots[job]) = Some(out);
+            let (b, r) = (job / block, job % block);
+            if r == 0 {
+                if b < ntiles {
+                    self.tile_stage(&stages, b, tile_of(b), local_stats);
+                }
+                continue;
+            }
+            if b == 0 {
+                continue;
+            }
+            let (ti, pi) = (b - 1, r - 1);
+            let tile = tile_of(ti);
+            // The partition's share leaves the stage with this job, so a
+            // finished tile's survivors are freed.
+            let pre = self
+                .tile_stage(&stages, ti, tile, local_stats)
+                .and_then(|stage| stage.take(pi));
+            let out = self.run_tile(pi, ti, tile, pre.as_ref(), ti * tile_len, local_stats);
+            *lock_recover(&slots[ti * nparts + pi]) = Some(out);
         };
 
         let mut stats = if self.workers == 1 {
@@ -761,7 +853,7 @@ impl SeedingSession {
             local_stats
         } else {
             std::thread::scope(|scope| {
-                for _ in 0..self.workers.min(njobs.max(1)) {
+                for _ in 0..self.workers.min((ntiles * nparts).max(1)) {
                     scope.spawn(|| {
                         let mut local_stats = SeedingStats::default();
                         run_jobs(&mut local_stats);
@@ -779,9 +871,6 @@ impl SeedingSession {
         if self.is_cancelled() {
             return Err(Error::Cancelled);
         }
-        // The shared code extraction happened outside the job loop; fold
-        // its span in so KmerCodes stays accounted for under profiling.
-        stats.profile.merge(&precomputed);
         // Read batch streams in once (2-bit packed + header), exactly as in
         // the serial path.
         for read in reads {
@@ -861,10 +950,40 @@ impl SeedingSession {
     }
 }
 
+/// The CAM backend's tables for a fresh session: the reference-wide
+/// pre-seeding table and each partition's CAM. The two are independent,
+/// so with a second worker the CAMs are built alongside the table.
+fn build_cam_tables(
+    partitions: &[Partition],
+    config: CasaConfig,
+    workers: usize,
+) -> (
+    Result<FusedFilter, casa_filter::TooManyPartitions>,
+    Vec<Bcam>,
+) {
+    let seqs: Vec<&PackedSeq> = partitions.iter().map(|p| &p.seq).collect();
+    let cams = || {
+        partitions
+            .iter()
+            .map(|p| Bcam::new(&p.seq, config.filter.stride))
+            .collect::<Vec<_>>()
+    };
+    if workers < 2 {
+        return (FusedFilter::build(&seqs, config.filter), cams());
+    }
+    std::thread::scope(|scope| {
+        let cams = scope.spawn(cams);
+        let filter = FusedFilter::build(&seqs, config.filter);
+        let cams = cams
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        (filter, cams)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::ConfigError;
     use casa_genome::synth::{generate_reference, ReferenceProfile};
     use casa_genome::{ReadSimConfig, ReadSimulator};
 
@@ -1106,7 +1225,9 @@ mod tests {
             .expect("valid config")
             .seed_reads(&reads);
         // Stalls of 40 ms against a 4 ms watchdog deadline: every injected
-        // stall must be caught by the deadline, not by chance.
+        // stall must be caught by the deadline, not by chance. The
+        // deadline runs on injected stall time only, so an unstalled
+        // attempt on a loaded machine can never time out.
         let plan = FaultPlan {
             seed: 42,
             tile_stall_rate: 0.3,
@@ -1116,7 +1237,8 @@ mod tests {
         };
         let session = SeedingSession::with_fault_plan(&reference, config, 4, plan)
             .expect("valid plan")
-            .with_tile_deadline(Some(Duration::from_millis(4)));
+            .with_tile_deadline(Some(Duration::from_millis(4)))
+            .with_injected_deadline_clock();
         assert_eq!(session.tile_deadline(), Some(Duration::from_millis(4)));
         let run = session.seed_reads(&reads);
         assert_eq!(run.smems, clean.smems, "recovery must be bit-identical");

@@ -23,8 +23,9 @@
 //! slot until the full tile deadline expires.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Condvar, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::stream::CancelToken;
@@ -102,6 +103,57 @@ pub fn wait_for_guard_threads(timeout: Duration) -> bool {
     true
 }
 
+/// What a tile attempt's watchdog deadline is measured against.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) enum DeadlineClock {
+    /// Wall-clock time since the attempt started (the default).
+    #[default]
+    Wall,
+    /// Injected stall time only: an attempt's clock advances by the stalls
+    /// the fault plan injects into it and by nothing else, so only an
+    /// injected stall can time an attempt out, however loaded the
+    /// machine.
+    Injected,
+}
+
+/// One attempt's clock (see [`DeadlineClock`]).
+#[derive(Clone, Debug)]
+pub(crate) struct AttemptClock {
+    started: Instant,
+    /// Injected nanoseconds, for [`DeadlineClock::Injected`].
+    injected: Option<Arc<AtomicU64>>,
+}
+
+impl AttemptClock {
+    /// Starts an attempt's clock.
+    pub(crate) fn start(kind: DeadlineClock) -> AttemptClock {
+        AttemptClock {
+            started: Instant::now(),
+            injected: (kind == DeadlineClock::Injected).then(|| Arc::new(AtomicU64::new(0))),
+        }
+    }
+
+    /// An injected stall: sleeps on the wall clock, advances the
+    /// injected clock without sleeping.
+    pub(crate) fn stall(&self, duration: Duration) {
+        match &self.injected {
+            None => std::thread::sleep(duration),
+            Some(nanos) => {
+                let add = u64::try_from(duration.as_nanos()).unwrap_or(u64::MAX);
+                nanos.fetch_add(add, Ordering::SeqCst);
+            }
+        }
+    }
+
+    /// Time the attempt has taken, as this clock counts it.
+    fn elapsed(&self) -> Duration {
+        match &self.injected {
+            None => self.started.elapsed(),
+            Some(nanos) => Duration::from_nanos(nanos.load(Ordering::SeqCst)),
+        }
+    }
+}
+
 /// How a guarded attempt ended.
 pub(crate) enum GuardedOutcome<T> {
     /// The job returned within the deadline.
@@ -115,13 +167,16 @@ pub(crate) enum GuardedOutcome<T> {
     Cancelled,
 }
 
-/// Runs `job` on a detached thread and waits at most `deadline` for its
-/// result, checking `cancel` between short waits. Panics inside `job`
-/// are caught and mapped to [`GuardedOutcome::Panicked`], exactly like
-/// the unguarded `catch_unwind` path.
+/// Runs `job` on a detached thread and waits until `clock` passes
+/// `deadline` for its result, checking `cancel` between short waits. A
+/// result that arrives after the clock passed the deadline counts as
+/// timed out. Panics inside `job` are caught and mapped to
+/// [`GuardedOutcome::Panicked`], exactly like the unguarded
+/// `catch_unwind` path.
 pub(crate) fn run_with_deadline<T, F>(
     deadline: Duration,
     cancel: Option<&CancelToken>,
+    clock: &AttemptClock,
     job: F,
 ) -> GuardedOutcome<T>
 where
@@ -142,21 +197,23 @@ where
         // with backoff and ultimately falls back to the golden model.
         return GuardedOutcome::Panicked;
     }
-    let expires = Instant::now() + deadline;
     loop {
         if cancel.is_some_and(CancelToken::is_cancelled) {
             return GuardedOutcome::Cancelled;
         }
-        let now = Instant::now();
-        if now >= expires {
+        let elapsed = clock.elapsed();
+        if elapsed >= deadline {
             return GuardedOutcome::TimedOut;
         }
-        let slice = if cancel.is_some() {
-            CANCEL_POLL_SLICE.min(expires - now)
+        // An injected clock does not run down in real time, so it is
+        // polled like the cancel token.
+        let slice = if cancel.is_some() || clock.injected.is_some() {
+            CANCEL_POLL_SLICE.min(deadline - elapsed)
         } else {
-            expires - now
+            deadline - elapsed
         };
         match rx.recv_timeout(slice) {
+            Ok(Ok(_)) if clock.elapsed() >= deadline => return GuardedOutcome::TimedOut,
             Ok(Ok(value)) => return GuardedOutcome::Completed(value),
             Ok(Err(_panic)) => return GuardedOutcome::Panicked,
             Err(mpsc::RecvTimeoutError::Timeout) => continue,
@@ -169,9 +226,38 @@ where
 mod tests {
     use super::*;
 
+    fn wall() -> AttemptClock {
+        AttemptClock::start(DeadlineClock::Wall)
+    }
+
+    /// On the injected clock only injected stalls count: a job slower
+    /// than the deadline in real time completes, a job whose injected
+    /// stall passes the deadline times out even though it returns at
+    /// once.
+    #[test]
+    fn injected_clock_times_out_only_injected_stalls() {
+        let clock = AttemptClock::start(DeadlineClock::Injected);
+        let outcome = run_with_deadline(Duration::from_millis(2), None, &clock, || {
+            std::thread::sleep(Duration::from_millis(30));
+            7u8
+        });
+        assert!(matches!(outcome, GuardedOutcome::Completed(7)));
+
+        let clock = AttemptClock::start(DeadlineClock::Injected);
+        let stalled = clock.clone();
+        let started = Instant::now();
+        let outcome = run_with_deadline(Duration::from_millis(4), None, &clock, move || {
+            stalled.stall(Duration::from_millis(40));
+            0u8
+        });
+        assert!(matches!(outcome, GuardedOutcome::TimedOut));
+        // The injected stall never sleeps.
+        assert!(started.elapsed() < Duration::from_secs(5));
+    }
+
     #[test]
     fn fast_jobs_complete() {
-        match run_with_deadline(Duration::from_secs(5), None, || 41 + 1) {
+        match run_with_deadline(Duration::from_secs(5), None, &wall(), || 41 + 1) {
             GuardedOutcome::Completed(v) => assert_eq!(v, 42),
             _ => panic!("expected completion"),
         }
@@ -179,7 +265,7 @@ mod tests {
 
     #[test]
     fn slow_jobs_time_out() {
-        let outcome = run_with_deadline(Duration::from_millis(5), None, || {
+        let outcome = run_with_deadline(Duration::from_millis(5), None, &wall(), || {
             std::thread::sleep(Duration::from_millis(200));
             0u8
         });
@@ -189,7 +275,7 @@ mod tests {
     #[test]
     fn panicking_jobs_are_reported_not_propagated() {
         crate::faults::silence_injected_panics();
-        let outcome = run_with_deadline(Duration::from_secs(5), None, || {
+        let outcome = run_with_deadline(Duration::from_secs(5), None, &wall(), || {
             std::panic::panic_any(crate::faults::InjectedFault {
                 partition: 0,
                 tile: 0,
@@ -206,7 +292,7 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let started = Instant::now();
-        let outcome = run_with_deadline(Duration::from_secs(30), Some(&token), || {
+        let outcome = run_with_deadline(Duration::from_secs(30), Some(&token), &wall(), || {
             std::thread::sleep(Duration::from_millis(100));
             0u8
         });
@@ -221,7 +307,7 @@ mod tests {
         // The guarded job blocks until we let it finish, so the registry
         // must report a live guard in the meantime.
         let (release_tx, release_rx) = mpsc::channel::<()>();
-        let outcome = run_with_deadline(Duration::from_millis(5), None, move || {
+        let outcome = run_with_deadline(Duration::from_millis(5), None, &wall(), move || {
             let _ = release_rx.recv_timeout(Duration::from_secs(10));
             0u8
         });

@@ -23,6 +23,7 @@ use casa_genome::shared::{SharedSlice, SliceStore};
 use casa_genome::PackedSeq;
 use serde::{Deserialize, Serialize};
 
+use crate::fused::{place, LOOKUP_AHEAD};
 use crate::{IndicatorStore, SearchIndicator, TagLayout};
 
 /// Filter geometry. Defaults are the paper's: k = 19, m = 10, 40-base CAM
@@ -147,7 +148,7 @@ impl FilterFaultReport {
     }
 }
 
-const DOMAIN_FILTER_FLIP: u64 = 0x21;
+pub(crate) const DOMAIN_FILTER_FLIP: u64 = 0x21;
 
 /// The pre-seeding filter for one reference partition.
 ///
@@ -182,45 +183,22 @@ pub struct PreSeedingFilter {
 }
 
 impl PreSeedingFilter {
-    /// Builds the filter tables for `partition` (the offline step of §4.1).
+    /// Builds the filter tables for `partition` (the offline step of §4.1)
+    /// by counting-sort placement (see [`FusedFilter`](crate::FusedFilter)): rows come out in
+    /// (m-mer, restmer, position) order — the partition-local order of
+    /// the [`FusedFilter`](crate::FusedFilter) too.
     pub fn build(partition: &PackedSeq, config: FilterConfig) -> PreSeedingFilter {
         config.validate();
-        let (k, m) = (config.k, config.m);
-        let rest = k - m;
-        let mut keyed: Vec<(u64, u32, SearchIndicator)> = partition
-            .kmers(k)
-            .map(|(x, code)| {
-                let mmer = code >> (2 * rest);
-                let restmer = (code & ((1u64 << (2 * rest)) - 1)) as u32;
-                (
-                    mmer,
-                    restmer,
-                    SearchIndicator::of_occurrence(x, config.stride, config.groups),
-                )
-            })
-            .map(|(mmer, restmer, si)| ((mmer << (2 * rest)) | u64::from(restmer), restmer, si))
-            .collect();
-        keyed.sort_unstable_by_key(|&(full, _, _)| full);
-
-        let slots = 1usize << (2 * m);
-        let mut mini_index = vec![0u32; slots + 1];
-        let mut tag = Vec::with_capacity(keyed.len());
-        let mut data: Vec<SearchIndicator> = Vec::with_capacity(keyed.len());
-        for (full, restmer, si) in keyed {
-            let mmer = (full >> (2 * rest)) as usize;
-            mini_index[mmer + 1] += 1;
-            tag.push(restmer);
-            data.push(si);
-        }
-        for i in 1..mini_index.len() {
-            mini_index[i] += mini_index[i - 1];
-        }
-        let layout = TagLayout::paper(tag.len().max(1));
+        let placed = place(&[partition], &config, 0);
+        // One partition: rows are (start, count) pairs, and the starts
+        // with the closing total are the mini index.
+        let mini_index: Vec<u32> = placed.rows.iter().step_by(2).copied().collect();
+        let layout = TagLayout::paper(placed.tag.len().max(1));
         PreSeedingFilter {
             config,
             mini_index: mini_index.into(),
-            tag: tag.into(),
-            data: data.into(),
+            tag: placed.tag.into(),
+            data: placed.data.into(),
             layout,
             partition_len: partition.len(),
             stats: FilterStats::default(),
@@ -266,7 +244,27 @@ impl PreSeedingFilter {
         })
     }
 
-    /// The mini-index prefix sums (the image writer persists these).
+    /// Hands the tables over: config, mini index, tag, data and partition
+    /// length.
+    pub(crate) fn into_tables(
+        self,
+    ) -> (
+        FilterConfig,
+        SliceStore<u32>,
+        SliceStore<u32>,
+        IndicatorStore,
+        usize,
+    ) {
+        (
+            self.config,
+            self.mini_index,
+            self.tag,
+            self.data,
+            self.partition_len,
+        )
+    }
+
+    /// The mini-index prefix sums.
     pub fn mini_index(&self) -> &[u32] {
         self.mini_index.as_slice()
     }
@@ -349,73 +347,36 @@ impl PreSeedingFilter {
         si
     }
 
-    /// Pipeline distance of the batched lookups, in codes: while code `i`
-    /// is looked up, stage 2 works on code `i + LOOKUP_AHEAD` and stage 1
-    /// on code `i + 2 * LOOKUP_AHEAD` (see
-    /// [`lookup_window_into`](Self::lookup_window_into)). Chosen by
-    /// measurement on 1 Mbp partitions (4 MB mini index and ~20 MB of tag
-    /// and data rows each) on a 2-core AMD EPYC: 8 and 16 are within noise
-    /// of each other, 4 gives up part of the gain.
-    const LOOKUP_AHEAD: usize = 8;
-
-    /// How many codes past the looked-up ones
-    /// [`lookup_window_into`](Self::lookup_window_into) can use: a longer
-    /// tail is never touched, a shorter one only leaves the last codes
-    /// without lookahead.
-    pub const LOOKUP_TAIL: usize = 2 * Self::LOOKUP_AHEAD;
-
     /// Looks up a whole batch of pre-computed k-mer codes in one
     /// software-pipelined pass, filling `out` with one indicator per code
-    /// (cleared first). Same as
-    /// [`lookup_window_into(codes, codes.len(), out)`](Self::lookup_window_into).
-    pub fn lookup_codes_into(&mut self, codes: &[u64], out: &mut Vec<SearchIndicator>) {
-        self.lookup_window_into(codes, codes.len(), out);
-    }
-
-    /// Looks up `window[..n]` in one software-pipelined pass, filling `out`
-    /// with one indicator per looked-up code (cleared first); the codes in
-    /// `window[n..]` are only prefetched, never looked up or counted.
+    /// (cleared first).
     ///
     /// Semantically identical to calling [`lookup_code`](Self::lookup_code)
-    /// per code of `window[..n]` — same indicators, same [`FilterStats`]
-    /// deltas — but restructured for memory-level parallelism. A lookup is
-    /// a chain of three dependent loads (mini index, then the tag bucket,
-    /// then the data row) into tables far beyond L2, so the per-code loop
-    /// waits out up to three misses per code. Here, alongside the lookup of
-    /// code `i`:
-    ///
-    /// 1. stage 1 prefetches the mini-index line of code `i + 2D`;
-    /// 2. stage 2 reads the (now resident) mini-index bounds of code
-    ///    `i + D` and, when its bucket is non-empty, prefetches the first
-    ///    tag row and the first data row of the bucket;
-    ///
-    /// with `D = LOOKUP_AHEAD`. The first `2D` codes are primed before the
-    /// loop. A caller holding more codes than it wants looked up now — the
-    /// CAM engine seeding a tile of reads — passes the following reads'
-    /// codes as the tail, so the pipeline runs across read boundaries.
-    /// Tail codes may be anything (out-of-range codes are skipped by the
-    /// prefetch stages); `window[..n]` must be valid codes for this
-    /// filter's `k`, as for `lookup_code`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n > window.len()`.
-    pub fn lookup_window_into(&mut self, window: &[u64], n: usize, out: &mut Vec<SearchIndicator>) {
-        const D: usize = PreSeedingFilter::LOOKUP_AHEAD;
-        let codes = &window[..n];
+    /// per code — same indicators, same [`FilterStats`] deltas — but
+    /// restructured for memory-level parallelism. A lookup is a chain of
+    /// three dependent loads (mini index, then the tag bucket, then the
+    /// data row) into tables far beyond L2, so the per-code loop waits out
+    /// up to three misses per code. Here, alongside the lookup of code
+    /// `i`, stage 1 prefetches the mini-index line of code `i + 2D` and
+    /// stage 2 reads the (now resident) bounds of code `i + D` and
+    /// prefetches its bucket's first tag and data rows (`D` is the
+    /// pipeline distance the [`FusedFilter`](crate::FusedFilter) probe
+    /// uses too).
+    pub fn lookup_codes_into(&mut self, codes: &[u64], out: &mut Vec<SearchIndicator>) {
+        const D: usize = LOOKUP_AHEAD;
         out.clear();
-        out.reserve(n);
-        for &code in window.iter().take(2 * D) {
+        out.reserve(codes.len());
+        for &code in codes.iter().take(2 * D) {
             self.prefetch_mini(code);
         }
-        for &code in window.iter().take(D) {
+        for &code in codes.iter().take(D) {
             self.prefetch_bucket(code);
         }
         for (i, &code) in codes.iter().enumerate() {
-            if let Some(&ahead) = window.get(i + 2 * D) {
+            if let Some(&ahead) = codes.get(i + 2 * D) {
                 self.prefetch_mini(ahead);
             }
-            if let Some(&ahead) = window.get(i + D) {
+            if let Some(&ahead) = codes.get(i + D) {
                 self.prefetch_bucket(ahead);
             }
             out.push(self.lookup_code(code));
@@ -580,7 +541,7 @@ mod tests {
             codes.push(rng.gen_range(0..(1u64 << (2 * cfg.k))));
         }
         codes.extend_from_slice(&codes.clone()[..16]);
-        let d = PreSeedingFilter::LOOKUP_AHEAD;
+        let d = LOOKUP_AHEAD;
 
         for filter in [built, shared] {
             let mut serial = filter.clone();
@@ -605,27 +566,14 @@ mod tests {
             assert!(out.is_empty());
             assert_eq!(batched.stats(), serial.stats());
 
-            // Windows: only `window[..n]` is looked up and counted, at
-            // every pipeline-edge size, whether the tail holds real codes
-            // or codes no k-mer can have (prefetching them must not panic).
-            let mut hostile = codes.clone();
-            for (i, c) in hostile.iter_mut().enumerate().skip(1).step_by(2) {
-                *c = [u64::MAX, 1 << 63, 1u64 << (2 * cfg.k)][i % 3];
-            }
-            for n in [0, 1, d - 1, d, 2 * d, codes.len()] {
+            // Every pipeline-edge batch size: shorter than one stage, one
+            // stage, both stages, and the whole batch.
+            for n in [1, d - 1, d, 2 * d, codes.len()] {
                 let per_code: Vec<SearchIndicator> =
                     codes[..n].iter().map(|&c| serial.lookup_code(c)).collect();
-                batched.lookup_window_into(&codes, n, &mut out);
+                batched.lookup_codes_into(&codes[..n], &mut out);
                 assert_eq!(out, per_code, "n = {n}");
                 assert_eq!(batched.stats(), serial.stats(), "n = {n}");
-
-                let mut window = codes[..n].to_vec();
-                window.extend_from_slice(&hostile[n..]);
-                let per_code: Vec<SearchIndicator> =
-                    codes[..n].iter().map(|&c| serial.lookup_code(c)).collect();
-                batched.lookup_window_into(&window, n, &mut out);
-                assert_eq!(out, per_code, "hostile tail, n = {n}");
-                assert_eq!(batched.stats(), serial.stats(), "hostile tail, n = {n}");
             }
         }
     }

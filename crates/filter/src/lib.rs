@@ -8,6 +8,11 @@
 //! 98.9 % pivot reduction ("table" bar of Fig. 15); the indicators feed the
 //! alignment analysis that pushes it to 99.9 % ("table+analysis").
 //!
+//! [`PreSeedingFilter`] is one partition's filter; [`FusedFilter`] holds
+//! every partition's rows behind one m-mer-addressed row array, so a
+//! pivot is probed once for the whole reference and each partition still
+//! sees exactly its own filter's indicators and statistics.
+//!
 //! # Example
 //!
 //! ```
@@ -28,6 +33,7 @@
 
 mod bloom;
 mod filter;
+mod fused;
 mod indicator;
 mod layout;
 
@@ -35,5 +41,6 @@ pub use bloom::BloomFilter;
 pub use filter::{
     FilterConfig, FilterFaultModel, FilterFaultReport, FilterStats, PreSeedingFilter,
 };
+pub use fused::{FusedFilter, PartSurvivors, Survivor, TooManyPartitions};
 pub use indicator::{IndicatorStore, SearchIndicator};
 pub use layout::TagLayout;

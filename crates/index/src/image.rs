@@ -9,7 +9,7 @@
 //! O(rebuild) and concurrent processes share the arrays through the page
 //! cache.
 //!
-//! # Layout (version 1)
+//! # Layout (version 2)
 //!
 //! All integers little-endian. Payload sections are aligned to
 //! `page_size` (4096) so mapped views are always 8-byte aligned and
@@ -17,7 +17,7 @@
 //!
 //! ```text
 //! offset 0        magic           b"CASAIMG1"
-//!        8        version         u32  (=1)
+//!        8        version         u32  (=2)
 //!        12       page_size       u32  (=4096)
 //!        16       fingerprint     u64  (FNV-1a of config blob + reference bytes)
 //!        24       total_len       u64  (file length in bytes)
@@ -54,7 +54,7 @@ use memmap2::{cast, Mmap};
 /// Image format magic.
 pub const MAGIC: &[u8; 8] = b"CASAIMG1";
 /// Current image format version.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 /// Payload alignment: one small page.
 pub const PAGE_SIZE: u32 = 4096;
 
@@ -128,11 +128,14 @@ pub enum SectionKind {
     RefText = 0,
     /// One partition's CAM entry bitplanes (`u64` words).
     CamPlanes = 1,
-    /// One partition's filter mini-index prefix sums (`u32`).
-    FilterMini = 2,
-    /// One partition's filter tag array (`u32` restmer codes).
+    /// The reference-wide pre-seeding rows (`u32`; partition 0): per
+    /// m-mer the bucket start and each partition's count, then the total.
+    FilterRows = 2,
+    /// The pre-seeding tag array (`u32` restmer + partition words;
+    /// partition 0).
     FilterTag = 3,
-    /// One partition's filter indicators, two `u64` words per record:
+    /// The pre-seeding indicators (partition 0), two `u64` words per
+    /// record:
     /// `words[2i]` = start mask, `words[2i+1]` low 32 bits = group mask.
     FilterData = 4,
     /// One partition's suffix array ranks (`u32`).
@@ -145,7 +148,7 @@ impl SectionKind {
         match code {
             0 => Some(SectionKind::RefText),
             1 => Some(SectionKind::CamPlanes),
-            2 => Some(SectionKind::FilterMini),
+            2 => Some(SectionKind::FilterRows),
             3 => Some(SectionKind::FilterTag),
             4 => Some(SectionKind::FilterData),
             5 => Some(SectionKind::Sa),
@@ -158,7 +161,7 @@ impl SectionKind {
         match SectionKind::from_code(code) {
             Some(SectionKind::RefText) => "ref-text",
             Some(SectionKind::CamPlanes) => "cam-planes",
-            Some(SectionKind::FilterMini) => "filter-mini",
+            Some(SectionKind::FilterRows) => "filter-rows",
             Some(SectionKind::FilterTag) => "filter-tag",
             Some(SectionKind::FilterData) => "filter-data",
             Some(SectionKind::Sa) => "suffix-array",
@@ -767,7 +770,7 @@ mod tests {
         let mut b = ImageBuilder::new(br#"{"k":19}"#);
         b.add_bytes(SectionKind::RefText, 0, &[0xAC, 0x1B, 0x33], 12);
         b.add_u64s(SectionKind::CamPlanes, 0, &[1, 2, 3, u64::MAX]);
-        b.add_u32s(SectionKind::FilterMini, 0, &[0, 1, 1, 4]);
+        b.add_u32s(SectionKind::FilterRows, 0, &[0, 1, 1, 4]);
         b.add_u32s(SectionKind::Sa, 0, &[3, 1, 0, 2]);
         b
     }
@@ -784,7 +787,7 @@ mod tests {
         assert_eq!(img.partitions(), 1);
         let planes = img.u64_view(SectionKind::CamPlanes, 0).unwrap();
         assert_eq!(planes.as_slice(), &[1, 2, 3, u64::MAX]);
-        let mini = img.u32_view(SectionKind::FilterMini, 0).unwrap();
+        let mini = img.u32_view(SectionKind::FilterRows, 0).unwrap();
         assert_eq!(mini.as_slice(), &[0, 1, 1, 4]);
         let text = img.find(SectionKind::RefText, 0).unwrap();
         assert_eq!(img.section_bytes(text), &[0xAC, 0x1B, 0x33]);

@@ -176,6 +176,157 @@ fn corrupt_images_fail_typed_and_never_panic() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The fused pre-seeding rows are the one payload a probe indexes by
+/// value (bucket bounds and counts), and a fast open never checksums
+/// payloads. Corrupted rows must therefore either be refused with a typed
+/// error or still seed bit-identical SMEMs — never panic inside a tile.
+#[test]
+fn corrupted_fused_rows_seed_correctly_or_fail_typed() {
+    use casa_index::image::SectionKind;
+    let (reference, reads) = workload(16);
+    let config = CasaConfig::paper(PART_LEN, READ_LEN);
+    let dir = scratch_dir("rows");
+    let clean_path = dir.join("clean.casaimg");
+    let index = build_image(&reference, config, &clean_path);
+    let section = index
+        .image()
+        .find(SectionKind::FilterRows, 0)
+        .expect("v2 images carry fused rows");
+    let (rows_off, rows_len) = (section.byte_off(), section.byte_len());
+    let width = index.image().partitions() + 1;
+    drop(index);
+    let want = SeedingSession::with_backend(
+        &reference,
+        config,
+        2,
+        FaultPlan::default(),
+        BackendKind::Cam,
+    )
+    .expect("fresh session")
+    .seed_reads(&reads)
+    .smems;
+    let clean = std::fs::read(&clean_path).expect("read image bytes");
+
+    // Rows the reads' pivots probe: the m-mer prefix of k-mers of the
+    // first reads, plus random rows.
+    let (k, m) = (config.filter.k, config.filter.m);
+    let mut rng = XorShift(0x0dd_5eed);
+    let mut targets: Vec<usize> = reads
+        .iter()
+        .take(4)
+        .flat_map(|r| {
+            r.kmers(k)
+                .step_by(9)
+                .map(|(_, c)| (c >> (2 * (k - m))) as usize)
+        })
+        .collect();
+    for _ in 0..8 {
+        targets.push(rng.below(rows_len / 4 / width));
+    }
+    let probe = dir.join("probe.casaimg");
+    for (i, &row) in targets.iter().enumerate() {
+        let mut bytes = clean.clone();
+        let word = |w: usize| rows_off + 4 * (row * width + w);
+        match i % 3 {
+            // One bit of a partition's count.
+            0 => bytes[word(1 + i % (width - 1))] ^= 1 << (i % 8),
+            // One bit of the bucket start.
+            1 => bytes[word(0) + 1] ^= 0x10,
+            // The whole row overwritten.
+            _ => {
+                for w in 0..width {
+                    bytes[word(w)..word(w) + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+                }
+            }
+        }
+        std::fs::write(&probe, &bytes).expect("write corrupt image");
+        assert!(
+            LoadedIndex::open(&probe).is_err(),
+            "a full open checksums the rows"
+        );
+        let index = LoadedIndex::open_fast(&probe).expect("a fast open trusts payloads");
+        match SeedingSession::from_image(&index, 2, FaultPlan::default(), BackendKind::Cam) {
+            Err(e) => assert!(e.to_string().contains("index image"), "untyped error {e}"),
+            Ok(session) => {
+                let run = session.seed_reads(&reads);
+                assert_eq!(run.smems, want, "corrupted row {row} changed the SMEMs");
+                assert_eq!(run.stats.fallback_reads, 0, "no tile may have panicked");
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Version 1 images (per-partition filter sections) are refused with the
+/// typed unsupported-version error, never misread as version 2.
+#[test]
+fn version_1_images_are_refused_with_a_typed_error() {
+    let (reference, _) = workload(1);
+    let dir = scratch_dir("v1");
+    let path = dir.join("ref.casaimg");
+    drop(build_image(
+        &reference,
+        CasaConfig::paper(PART_LEN, READ_LEN),
+        &path,
+    ));
+    let mut bytes = std::fs::read(&path).expect("read image bytes");
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    // Re-seal the header checksum (FNV-1a over bytes 0..56) so only the
+    // version check can fire.
+    let mut sum: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in &bytes[..56] {
+        sum ^= u64::from(b);
+        sum = sum.wrapping_mul(0x100_0000_01b3);
+    }
+    bytes[56..64].copy_from_slice(&sum.to_le_bytes());
+    std::fs::write(&path, &bytes).expect("write v1 image");
+    for result in [LoadedIndex::open(&path), LoadedIndex::open_fast(&path)] {
+        let err = result.expect_err("v1 must be refused");
+        assert!(
+            matches!(
+                err,
+                casa::core::IndexImageError::Image(casa_index::image::ImageError::BadVersion(1))
+            ),
+            "got {err}"
+        );
+        assert!(err
+            .to_string()
+            .contains("unsupported index image version 1"));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A fast-opened v2 image still backs the whole CAM session zero-copy:
+/// the fused table, every partition's CAM planes.
+#[test]
+fn fast_opened_sessions_share_the_mapping() {
+    let (reference, reads) = workload(8);
+    let config = CasaConfig::paper(PART_LEN, READ_LEN);
+    let dir = scratch_dir("shared");
+    let path = dir.join("ref.casaimg");
+    drop(build_image(&reference, config, &path));
+    let index = LoadedIndex::open_fast(&path).expect("fast open");
+    let session = SeedingSession::from_image(&index, 2, FaultPlan::default(), BackendKind::Cam)
+        .expect("mapped session");
+    assert!(
+        session.storage_shared(),
+        "mapped CAM session must be zero-copy"
+    );
+    let fresh = SeedingSession::with_backend(
+        &reference,
+        config,
+        2,
+        FaultPlan::default(),
+        BackendKind::Cam,
+    )
+    .expect("fresh session");
+    assert_eq!(
+        session.seed_reads(&reads).smems,
+        fresh.seed_reads(&reads).smems
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 struct Response {
     status: u16,
     body: Vec<u8>,
